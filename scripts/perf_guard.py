@@ -7,6 +7,11 @@ freshly generated ``BENCH_*.json`` and the committed baseline of the
 same name.  Fails (exit 1) when a fresh timing is more than
 ``--factor`` (default 1.25, i.e. >25% slowdown) above the baseline.
 
+Only ``params`` and ``timings_s`` are compared.  The ``host`` and
+``provenance`` blocks (code revision, source digest, ``REPRO_*`` flags)
+describe where a file came from; a fresh run always differs from its
+baseline there, so they never skip or fail a comparison.
+
 CI machines are not the machines the baselines were recorded on, so
 the factor is deliberately generous: the guard catches order-of-
 magnitude regressions (an accidentally disabled fastpath, a quadratic

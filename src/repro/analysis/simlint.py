@@ -55,7 +55,7 @@ checks the failure classes this codebase has actually met:
     flat.  The ``REPRO_NO_FSFAST`` / ``REPRO_NO_FASTHOLD`` escape-
     hatch implementations stay as generators by design and carry
     ``# simlint: ignore[generator-serve]``.  Pure data generators
-    (yielding tuples or names, e.g. ``PageCache.coalesce``) are not
+    (yielding tuples or names, e.g. a run-coalescing helper) are not
     flagged.
 
 The first four rules apply only inside the simulation packages

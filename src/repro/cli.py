@@ -570,6 +570,7 @@ def cmd_perf(args) -> int:
     import time
 
     from .core.tablecache import TableCache
+    from .fingerprint import provenance
     from .workloads.apps import MadBenchApplication
     from .workloads.madbench import MadBenchConfig
 
@@ -598,6 +599,8 @@ def cmd_perf(args) -> int:
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
+    # code revision, source digest and REPRO_* flags, on every artefact
+    stamp = provenance()
 
     from .analysis.sanitizer import sanitize_enabled
     from .simengine import analytic as _analytic
@@ -619,6 +622,7 @@ def cmd_perf(args) -> int:
     kernel_result = {
         "benchmark": "kernel",
         "host": host,
+        "provenance": stamp,
         "params": {**common_params, "repeats": kb["repeats"]},
         "timings_s": kernel_timings,
         "scenarios": kb["scenarios"],
@@ -683,6 +687,7 @@ def cmd_perf(args) -> int:
     result = {
         "benchmark": "characterize",
         "host": host,
+        "provenance": stamp,
         "params": {
             "configs": sorted(configs),
             "quick": bool(args.quick),
@@ -781,6 +786,7 @@ def cmd_perf(args) -> int:
     eval_result = {
         "benchmark": "evaluate",
         "host": host,
+        "provenance": stamp,
         "params": {
             "configs": sorted(configs),
             "quick": bool(args.quick),
@@ -845,6 +851,7 @@ def cmd_perf(args) -> int:
         prof_result = {
             "benchmark": "profile",
             "host": host,
+            "provenance": stamp,
             "params": {
                 "configs": sorted(configs),
                 "quick": bool(args.quick),

@@ -12,6 +12,10 @@ The digest is built from a canonical JSON form, not ``pickle`` or
 (no hash randomisation) and across field *values* only: renaming or
 adding a dataclass field changes the fingerprint, which is exactly the
 invalidation behaviour a cache wants.
+
+The same leaf also stamps benchmark and profile artefacts with their
+provenance (:func:`provenance`): the code revision, a digest of the
+source that ran, and the ``REPRO_*`` mode flags in effect.
 """
 
 from __future__ import annotations
@@ -20,9 +24,23 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any
+import os
+from pathlib import Path
+from typing import Any, Mapping
 
-__all__ = ["canonicalize", "canonical_json", "fingerprint", "workload_fingerprint"]
+__all__ = [
+    "canonicalize",
+    "canonical_json",
+    "fingerprint",
+    "workload_fingerprint",
+    "git_revision",
+    "source_digest",
+    "repro_flags",
+    "provenance",
+]
+
+#: the ``repro`` package directory; its parent is ``src/`` in a checkout
+PACKAGE = Path(__file__).resolve().parent
 
 
 def canonicalize(obj: Any) -> Any:
@@ -93,3 +111,51 @@ def workload_fingerprint(app: Any) -> str:
         getattr(app, "config", None),
         getattr(app, "name", ""),
     )
+
+
+# ----------------------------------------------------------------------
+# provenance of benchmark and profile artefacts
+# ----------------------------------------------------------------------
+def git_revision(root: Path) -> str | None:
+    """Commit id of ``root/.git``'s HEAD, read from the files (no
+    subprocess); ``None`` outside a checkout."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head  # detached HEAD
+        ref = head[5:]
+        loose = git / ref
+        if loose.exists():
+            return loose.read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
+def source_digest(package: Path = PACKAGE) -> str:
+    """sha256 (first 16 hex digits) over the package's ``*.py`` files,
+    each keyed by its path relative to the package's parent — in a
+    checkout, every ``src/**/*.py``."""
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(str(path.relative_to(package.parent)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def repro_flags(environ: Mapping[str, str] = os.environ) -> dict[str, str]:
+    """The ``REPRO_*`` environment variables set, by name."""
+    return {k: environ[k] for k in sorted(environ) if k.startswith("REPRO_")}
+
+
+def provenance() -> dict[str, Any]:
+    """``{"git_rev", "src_sha256", "repro_flags"}`` of this process's code."""
+    return {
+        "git_rev": git_revision(PACKAGE.parent.parent),
+        "src_sha256": source_digest(),
+        "repro_flags": repro_flags(),
+    }

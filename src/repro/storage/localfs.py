@@ -32,7 +32,7 @@ from ..simengine import resources as _kernel
 from ..hardware.node import Node
 from ..hardware.raid import RAIDArray
 from .base import IORequest, KiB, MiB
-from .cache import CacheSpec, PageCache
+from .cache import CacheSpec, PageCache, Run
 
 __all__ = ["LocalFSSpec", "Inode", "LocalFS"]
 
@@ -299,9 +299,8 @@ class LocalFS:
                 span = min(span, max(inode.size - req.offset, 0))
             # misses land clean; dirty victims were already flushed
             # analytically as part of the steady-state timing
-            self.cache.touch_or_insert_clean(
-                inode.fileid, self.cache.segments_of(req.offset, span)
-            )
+            segs = self.cache.segments_of(req.offset, span)
+            self.cache.touch(inode.fileid, segs.start, len(segs), fill=True)
         return total
 
     def state_token(self, inode: Inode, req: IORequest) -> tuple:
@@ -354,30 +353,28 @@ class LocalFS:
         return self.env.process(self._sync_all(), name=f"{self.name}.sync")
 
     # -- write -------------------------------------------------------------
-    def _dirty_plan(self, req: IORequest) -> tuple[list[tuple[int, int]], int]:
-        """(segment, dirty_bytes) contributions of a request, plus an
+    def _dirty_plan(self, req: IORequest) -> tuple[list[tuple[int, int, int, int, int]], int]:
+        """Dirty-byte contributions of a request as runs ``(first, nsegs,
+        body, head, tail)`` (see :meth:`PageCache.dense_run`), plus an
         arithmetic overflow remainder in bytes for huge sparse streams."""
-        sb = self.cache.spec.segment_bytes
-        cap = self.OVERFLOW_FACTOR * self.cache.spec.nsegments
-        out: list[tuple[int, int]] = []
+        cache = self.cache
+        sb = cache.spec.segment_bytes
+        cap = self.OVERFLOW_FACTOR * cache.spec.nsegments
         if req.is_dense:
-            start, span = req.offset, req.span
-            for seg in self.cache.segments_of(start, span):
-                lo = max(start, seg * sb)
-                hi = min(start + span, (seg + 1) * sb)
-                out.append((seg, hi - lo))
-            return out, 0
+            run = cache.dense_run(req.offset, req.span)
+            return ([run] if run[1] else []), 0
         stride = req.effective_stride if req.stride != -1 else 7919 * self.spec.min_io_bytes
         if stride < sb:
             # Dirtiness spreads uniformly over the span.
-            segs = list(self.cache.segments_of(req.offset, req.span))
+            segs = cache.segments_of(req.offset, req.span)
             per = max(req.total_bytes // max(len(segs), 1), 1)
-            return [(s, per) for s in segs[:cap]], max(0, (len(segs) - cap)) * per
+            n = min(len(segs), cap)
+            return [(segs.start, n, per, per, per)], max(0, (len(segs) - cap)) * per
         # One (partial) segment per operation.
         n = min(req.count, cap)
-        segs = [(req.offset + k * stride) // sb for k in range(n)]
-        rem = (req.count - n) * req.nbytes
-        return [(s, req.nbytes) for s in segs], rem
+        nb = req.nbytes
+        plan = [((req.offset + k * stride) // sb, 1, nb, nb, nb) for k in range(n)]
+        return plan, (req.count - n) * nb
 
     def _write(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
         spec = self.spec
@@ -390,28 +387,34 @@ class LocalFS:
         self.stats.bytes_written += total
 
         plan, overflow = self._dirty_plan(req)
-        if self.cache.spec.write_back:
-            i = 0
-            while i < len(plan):
-                # absorb the throttle-free, flush-free prefix in one call
-                i += self.cache.insert_dirty_run(inode.fileid, plan, i)
-                if i >= len(plan):
-                    break
-                seg, dirty = plan[i]
-                if self.cache.need_throttle:
-                    yield from self._throttle()
-                victims = self.cache.insert(inode.fileid, seg, dirty)
-                if victims:
-                    yield from self._flush_entries(victims)
-                i += 1
+        cache = self.cache
+        fileid = inode.fileid
+        if cache.spec.write_back:
+            for first, nsegs, dirty, head, tail in plan:
+                seg, stop = first, first + nsegs
+                force = False
+                while seg < stop:
+                    # absorb the throttle-free, flush-free prefix in one call
+                    done, victim = cache.insert(
+                        fileid, seg, stop - seg, dirty, head if seg == first else None, tail,
+                        throttle=True, force=force,
+                    )
+                    seg += done
+                    force = victim is None
+                    if victim is not None:
+                        yield from self._flush_runs([victim])
+                    elif seg < stop and cache.need_throttle:
+                        yield from self._throttle()
         else:
-            for seg, dirty in plan:
-                if self.cache.need_throttle:
-                    yield from self._throttle()
-                victims = self.cache.insert(inode.fileid, seg, 0)
-                yield from self._flush_entries([(inode.fileid, seg, dirty)])
-                if victims:
-                    yield from self._flush_entries(victims)
+            for first, nsegs, dirty, head, tail in plan:
+                for seg in range(first, first + nsegs):
+                    if cache.need_throttle:
+                        yield from self._throttle()
+                    _done, victim = cache.insert(fileid, seg, 1, force=True)
+                    amount = _plan_amount(seg, first, nsegs, dirty, head, tail)
+                    yield from self._flush_runs([(fileid, seg, 1, amount)])
+                    if victim is not None:
+                        yield from self._flush_runs([victim])
         if overflow:
             # Stream far larger than the cache: the excess hits the
             # device directly at the pattern's natural rate.
@@ -437,7 +440,8 @@ class LocalFS:
             return total
         if self.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
             span = min(req.span, max(inode.size - req.offset, 0))
-            self.cache.touch_run(inode.fileid, self.cache.segments_of(req.offset, span))
+            segs = self.cache.segments_of(req.offset, span)
+            self.cache.touch(inode.fileid, segs.start, len(segs))
             return total
         if req.is_dense:
             yield from self._cached_read(inode, req)
@@ -451,47 +455,42 @@ class LocalFS:
         return total
 
     def _cached_read(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
-        sb = self.cache.spec.segment_bytes
         span = min(req.span, max(inode.size - req.offset, 0))
-        segs = list(self.cache.segments_of(req.offset, span))
-        miss_run: list[int] = []
-        for seg in segs:
-            if self.cache.touch(inode.fileid, seg):
-                if miss_run:
-                    yield from self._fill(inode, miss_run)
-                    miss_run = []
+        segs = self.cache.segments_of(req.offset, span)
+        seg, end = segs.start, segs.stop
+        while seg < end:
+            miss, nmiss = self.cache.lookup(inode.fileid, seg, end - seg)
+            if not nmiss:
+                break
+            seg = miss + nmiss + 1  # past the hit that ended the miss run
+            if seg <= end:
+                yield from self._fill(inode, miss, nmiss)
             else:
-                miss_run.append(seg)
-        if miss_run:
-            # sequential tail: extend by the readahead window
-            ra_extra = self.spec.readahead_bytes // sb
-            last = miss_run[-1]
-            file_last_seg = max((inode.size - 1) // sb, 0)
-            for k in range(1, ra_extra + 1):
-                if last + k <= file_last_seg:
-                    miss_run.append(last + k)
-            yield from self._fill(inode, miss_run)
+                # sequential tail: extend by the readahead window
+                yield from self._fill(inode, miss, nmiss + self._readahead(inode, end - 1))
 
-    def _fill(self, inode, segs: list[int]):  # simlint: ignore[generator-serve]
+    def _readahead(self, inode, last: int) -> int:
+        """Segments of readahead past ``last`` that lie inside the file."""
+        sb = self.cache.spec.segment_bytes
+        file_last_seg = max((inode.size - 1) // sb, 0)
+        return max(0, min(self.spec.readahead_bytes // sb, file_last_seg - last))
+
+    def _fill(self, inode, first: int, nsegs: int):  # simlint: ignore[generator-serve]
         """Read missing segments from the device and make them resident."""
         sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, _d in PageCache.coalesce(
-            (inode.fileid, s, 0) for s in segs
-        ):
-            off = first * sb
-            length = min(nsegs * sb, max(inode.size - off, sb))
-            self._ensure_allocation(inode, off + length)
-            dev = inode.device_offset(off)
-            yield self.array.submit("read", dev, length)
-            s, end = first, first + nsegs
-            while s < end:
-                s += self.cache.insert_clean_run(fileid, s, end - s)
-                if s >= end:
-                    break
-                victims = self.cache.insert(fileid, s, 0)
-                s += 1
-                if victims:
-                    yield from self._flush_entries(victims)
+        off = first * sb
+        length = min(nsegs * sb, max(inode.size - off, sb))
+        self._ensure_allocation(inode, off + length)
+        dev = inode.device_offset(off)
+        yield self.array.submit("read", dev, length)
+        s, end = first, first + nsegs
+        force = False
+        while s < end:
+            done, victim = self.cache.insert(inode.fileid, s, end - s, force=force)
+            s += done
+            force = victim is None
+            if victim is not None:
+                yield from self._flush_runs([victim])
 
     # -- write-back machinery ------------------------------------------------
     def _journal_offset(self) -> int:
@@ -510,18 +509,17 @@ class LocalFS:
         self._alloc_cursor = start + length
         inode.extents.append((have, start, length))
 
-    def _flush_entries(self, entries):  # simlint: ignore[generator-serve]
-        """Write dirty cache entries to the device and mark them clean.
+    def _flush_runs(self, runs: list[Run]):  # simlint: ignore[generator-serve]
+        """Write dirty cache runs to the device and mark them clean.
 
         Runs that are densely dirty flush as one sequential write;
         sparse runs flush as scattered page-sized writes.
         """
         sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, dirty in PageCache.coalesce(entries):
+        for fileid, first, nsegs, dirty in runs:
             inode = self._by_id.get(fileid)
             if inode is None:
-                for s in range(first, first + nsegs):
-                    self.cache.mark_clean(fileid, s)
+                self.cache.clean(fileid, first, nsegs)
                 continue
             off = first * sb
             self._ensure_allocation(inode, off + nsegs * sb)
@@ -534,8 +532,7 @@ class LocalFS:
                 nops = max(dirty // nb, 1)
                 scatter = max((nsegs * sb) // nops, nb)
                 yield self.array.submit("write", dev, nb, nops, scatter, cached=False)
-            for s in range(first, first + nsegs):
-                self.cache.mark_clean(fileid, s)
+            self.cache.clean(fileid, first, nsegs)
             self.stats.flush_runs += 1
 
     def _kick_flusher(self) -> None:
@@ -548,10 +545,10 @@ class LocalFS:
 
     def _flusher(self):  # simlint: ignore[generator-serve]
         while self.cache.need_background_flush:
-            batch = self.cache.dirty_segments(limit=self.FLUSH_BATCH_SEGS)
+            batch = self.cache.dirty_runs(limit=self.FLUSH_BATCH_SEGS)
             if not batch:
                 break
-            yield from self._flush_entries(batch)
+            yield from self._flush_runs(batch)
             waiters, self._flush_waiters = self._flush_waiters, []
             for w in waiters:
                 w.succeed()
@@ -570,16 +567,14 @@ class LocalFS:
 
     def _fsync(self, inode):  # simlint: ignore[generator-serve]
         yield self.env.timeout(self.spec.syscall_s)
-        entries = self.cache.dirty_segments(limit=None, fileid=inode.fileid)
-        yield from self._flush_entries(entries)
+        yield from self._flush_runs(self.cache.dirty_runs(fileid=inode.fileid))
         yield self.array.submit(
             "write", self._journal_offset(), self.spec.journal_write_bytes
         )
         return None
 
     def _sync_all(self):  # simlint: ignore[generator-serve]
-        entries = self.cache.dirty_segments(limit=None)
-        yield from self._flush_entries(entries)
+        yield from self._flush_runs(self.cache.dirty_runs())
         yield self.array.flush()
         return None
 
@@ -587,8 +582,16 @@ class LocalFS:
 # ----------------------------------------------------------------------
 # flat service paths (REPRO_NO_FSFAST falls back to the generators)
 # ----------------------------------------------------------------------
+def _plan_amount(seg: int, first: int, nsegs: int, dirty: int, head: int, tail: int) -> int:
+    """Dirty bytes a write-plan run gives segment ``seg`` (the rule of
+    :meth:`PageCache.insert`)."""
+    if seg == first + nsegs - 1:
+        return tail
+    return head if seg == first else dirty
+
+
 class _FlatFlush:
-    """Flat counterpart of :meth:`LocalFS._flush_entries`.
+    """Flat counterpart of :meth:`LocalFS._flush_runs`.
 
     Sub-flows have no calendar footprint of their own (they replace a
     ``yield from``): they borrow the parent op's :meth:`FlatOp._await`
@@ -597,10 +600,10 @@ class _FlatFlush:
 
     __slots__ = ("fs", "op", "runs", "i", "k")
 
-    def __init__(self, fs, op, entries, k):
+    def __init__(self, fs, op, runs, k):
         self.fs = fs
         self.op = op
-        self.runs = list(PageCache.coalesce(entries))
+        self.runs = runs
         self.i = 0
         self.k = k
         self._next()
@@ -613,8 +616,7 @@ class _FlatFlush:
             fileid, first, nsegs, dirty = runs[self.i]
             inode = fs._by_id.get(fileid)
             if inode is None:
-                for s in range(first, first + nsegs):
-                    fs.cache.mark_clean(fileid, s)
+                fs.cache.clean(fileid, first, nsegs)
                 self.i += 1
                 continue
             off = first * sb
@@ -635,8 +637,7 @@ class _FlatFlush:
     def _written(self, _v):
         fs = self.fs
         fileid, first, nsegs, _d = self.runs[self.i]
-        for s in range(first, first + nsegs):
-            fs.cache.mark_clean(fileid, s)
+        fs.cache.clean(fileid, first, nsegs)
         fs.stats.flush_runs += 1
         self.i += 1
         self._next()
@@ -667,54 +668,41 @@ class _FlatThrottle:
 class _FlatFill:
     """Flat counterpart of :meth:`LocalFS._fill`."""
 
-    __slots__ = ("fs", "op", "inode", "runs", "i", "s", "k")
+    __slots__ = ("fs", "op", "inode", "s", "end", "force", "k")
 
-    def __init__(self, fs, op, inode, segs, k):
+    def __init__(self, fs, op, inode, first, nsegs, k):
         self.fs = fs
         self.op = op
         self.inode = inode
-        self.runs = list(PageCache.coalesce((inode.fileid, s, 0) for s in segs))
-        self.i = 0
-        self.s = 0
+        self.s = first
+        self.end = first + nsegs
+        self.force = False
         self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        fs = self.fs
         sb = fs.cache.spec.segment_bytes
-        if self.i >= len(self.runs):
-            self.k()
-            return
-        _fileid, first, nsegs, _d = self.runs[self.i]
-        inode = self.inode
         off = first * sb
         length = min(nsegs * sb, max(inode.size - off, sb))
         fs._ensure_allocation(inode, off + length)
         dev = inode.device_offset(off)
-        self.s = first
-        self.op._await(fs.array.submit("read", dev, length), self._insert_loop)
+        op._await(fs.array.submit("read", dev, length), self._insert_loop)
 
     def _insert_loop(self, _v=None):
-        fs = self.fs
-        fileid, first, nsegs, _d = self.runs[self.i]
-        end = first + nsegs
-        while self.s < end:
-            self.s += fs.cache.insert_clean_run(fileid, self.s, end - self.s)
-            if self.s >= end:
-                break
-            victims = fs.cache.insert(fileid, self.s, 0)
-            self.s += 1
-            if victims:
-                _FlatFlush(fs, self.op, victims, self._insert_loop)
+        cache = self.fs.cache
+        fileid = self.inode.fileid
+        while self.s < self.end:
+            done, victim = cache.insert(fileid, self.s, self.end - self.s, force=self.force)
+            self.s += done
+            self.force = victim is None
+            if victim is not None:
+                _FlatFlush(self.fs, self.op, [victim], self._insert_loop)
                 return
-        self.i += 1
-        self._next()
+        self.k()
 
 
 class _LocalWrite(FlatOp):
     """Flat counterpart of :meth:`LocalFS._write`."""
 
-    __slots__ = ("fs", "inode", "req", "total", "_plan", "_overflow", "_i", "_stage", "_victims")
+    __slots__ = ("fs", "inode", "req", "total", "_plan", "_overflow", "_i", "_seg", "_force",
+                 "_victim")
 
     def __init__(self, fs, inode, req):
         self.fs = fs
@@ -740,48 +728,78 @@ class _LocalWrite(FlatOp):
         fs.stats.bytes_written += self.total
         self._plan, self._overflow = fs._dirty_plan(req)
         self._i = 0
-        self._stage = 0
-        self._victims = ()
-        self._plan_step()
+        self._seg = self._plan[0][0] if self._plan else 0
+        self._force = False
+        self._victim = None
+        if fs.cache.spec.write_back:
+            self._plan_step()
+        else:
+            self._through_step()
+
+    def _next_run(self) -> None:
+        self._i += 1
+        if self._i < len(self._plan):
+            self._seg = self._plan[self._i][0]
+        self._force = False
 
     def _plan_step(self, _v=None):
         fs = self.fs
         cache = fs.cache
         plan = self._plan
         fileid = self.inode.fileid
-        write_back = cache.spec.write_back
         while self._i < len(plan):
-            st = self._stage
-            if st == 0 and write_back:
+            first, nsegs, dirty, head, tail = plan[self._i]
+            end = first + nsegs
+            while self._seg < end:
                 # absorb the throttle-free, flush-free prefix in one call
-                self._i += cache.insert_dirty_run(fileid, plan, self._i)
-                if self._i >= len(plan):
-                    break
-            seg, dirty = plan[self._i]
-            if st == 0:
-                if cache.need_throttle:
-                    self._stage = 1
+                seg = self._seg
+                done, victim = cache.insert(
+                    fileid, seg, end - seg, dirty, head if seg == first else None, tail,
+                    throttle=True, force=self._force,
+                )
+                self._seg = seg = seg + done
+                self._force = victim is None
+                if victim is not None:
+                    _FlatFlush(fs, self, [victim], self._plan_step)
+                    return
+                if seg < end and cache.need_throttle:
                     _FlatThrottle(fs, self, self._plan_step)
                     return
-                st = 1
-            if st == 1:
-                self._victims = cache.insert(
-                    fileid, seg, dirty if cache.spec.write_back else 0
-                )
-                if not cache.spec.write_back:
-                    self._stage = 2
-                    _FlatFlush(fs, self, [(fileid, seg, dirty)], self._plan_step)
+            self._next_run()
+        self._after_plan()
+
+    def _through_step(self, _v=None):
+        """Write-through: per segment, throttle, insert clean, write the
+        segment's bytes, then write back any dirty victim."""
+        fs = self.fs
+        cache = fs.cache
+        plan = self._plan
+        while self._i < len(plan):
+            first, nsegs, dirty, head, tail = plan[self._i]
+            seg = self._seg
+            if seg >= first + nsegs:
+                self._next_run()
+                continue
+            if self._victim is not None:
+                victim, self._victim = self._victim, None
+                self._seg += 1
+                _FlatFlush(fs, self, [victim], self._through_step)
+                return
+            if not self._force:
+                self._force = True
+                if cache.need_throttle:
+                    _FlatThrottle(fs, self, self._through_step)
                     return
-                st = 2
-            if st == 2:
-                victims = self._victims
-                if victims:
-                    self._victims = ()
-                    self._stage = 3
-                    _FlatFlush(fs, self, victims, self._plan_step)
-                    return
-            self._i += 1
-            self._stage = 0
+            fileid = self.inode.fileid
+            _done, victim = cache.insert(fileid, seg, 1, force=True)
+            self._force = False
+            amount = _plan_amount(seg, first, nsegs, dirty, head, tail)
+            if victim is None:
+                self._seg += 1
+            else:
+                self._victim = victim
+            _FlatFlush(fs, self, [(fileid, seg, 1, amount)], self._through_step)
+            return
         self._after_plan()
 
     def _after_plan(self):
@@ -812,7 +830,7 @@ class _LocalWrite(FlatOp):
 class _LocalRead(FlatOp):
     """Flat counterpart of :meth:`LocalFS._read` (incl. ``_cached_read``)."""
 
-    __slots__ = ("fs", "inode", "req", "total", "_segs", "_si", "_miss")
+    __slots__ = ("fs", "inode", "req", "total", "_seg", "_end")
 
     def __init__(self, fs, inode, req):
         self.fs = fs
@@ -843,14 +861,14 @@ class _LocalRead(FlatOp):
             return
         if fs.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
             span = min(req.span, max(inode.size - req.offset, 0))
-            fs.cache.touch_run(inode.fileid, fs.cache.segments_of(req.offset, span))
+            segs = fs.cache.segments_of(req.offset, span)
+            fs.cache.touch(inode.fileid, segs.start, len(segs))
             self._finish(self.total)
             return
         if req.is_dense:
             span = min(req.span, max(inode.size - req.offset, 0))
-            self._segs = list(fs.cache.segments_of(req.offset, span))
-            self._si = 0
-            self._miss = []
+            segs = fs.cache.segments_of(req.offset, span)
+            self._seg, self._end = segs.start, segs.stop
             self._scan()
             return
         nb = max(req.nbytes, spec.min_io_bytes)
@@ -865,28 +883,18 @@ class _LocalRead(FlatOp):
     def _scan(self, _v=None):
         fs = self.fs
         inode = self.inode
-        segs = self._segs
-        while self._si < len(segs):
-            seg = segs[self._si]
-            self._si += 1
-            if fs.cache.touch(inode.fileid, seg):
-                if self._miss:
-                    miss, self._miss = self._miss, []
-                    _FlatFill(fs, self, inode, miss, self._scan)
-                    return
+        end = self._end
+        while self._seg < end:
+            miss, nmiss = fs.cache.lookup(inode.fileid, self._seg, end - self._seg)
+            if not nmiss:
+                break
+            self._seg = miss + nmiss + 1  # past the hit that ended the miss run
+            if self._seg <= end:
+                _FlatFill(fs, self, inode, miss, nmiss, self._scan)
             else:
-                self._miss.append(seg)
-        miss = self._miss
-        if miss:
-            sb = fs.cache.spec.segment_bytes
-            ra_extra = fs.spec.readahead_bytes // sb
-            last = miss[-1]
-            file_last_seg = max((inode.size - 1) // sb, 0)
-            for k in range(1, ra_extra + 1):
-                if last + k <= file_last_seg:
-                    miss.append(last + k)
-            self._miss = []
-            _FlatFill(fs, self, inode, miss, self._fills_done)
+                # sequential tail: extend by the readahead window
+                nmiss += fs._readahead(inode, end - 1)
+                _FlatFill(fs, self, inode, miss, nmiss, self._fills_done)
             return
         self._finish(self.total)
 
@@ -909,7 +917,7 @@ class _LocalFlusher(FlatOp):
     def _loop(self, _v=None):
         fs = self.fs
         while fs.cache.need_background_flush:
-            batch = fs.cache.dirty_segments(limit=fs.FLUSH_BATCH_SEGS)
+            batch = fs.cache.dirty_runs(limit=fs.FLUSH_BATCH_SEGS)
             if not batch:
                 break
             _FlatFlush(fs, self, batch, self._batch_done)
@@ -943,8 +951,7 @@ class _LocalFsync(FlatOp):
 
     def _after_cpu(self, _v):
         fs = self.fs
-        entries = fs.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
-        _FlatFlush(fs, self, entries, self._flushed)
+        _FlatFlush(fs, self, fs.cache.dirty_runs(fileid=self.inode.fileid), self._flushed)
 
     def _flushed(self, _v=None):
         fs = self.fs

@@ -32,7 +32,7 @@ from ..simengine import resources as _kernel
 from ..hardware.network import Network
 from ..hardware.node import Node
 from .base import IORequest, KiB, MiB
-from .cache import CacheSpec, PageCache
+from .cache import CacheSpec, PageCache, Run
 from .localfs import Inode, LocalFS
 
 __all__ = ["NFSSpec", "NFSServer", "NFSMount"]
@@ -455,28 +455,25 @@ class NFSMount:
         )
         self.stats.bytes_sent += total
 
-        sb = self.cache.spec.segment_bytes
         if req.is_dense:
             # Absorb into the client cache; write-back flushes in wsize
             # chunks.  Evicted dirty victims flush synchronously.
-            end = req.offset + req.span
-            plan = [
-                (seg, min(end, (seg + 1) * sb) - max(req.offset, seg * sb))
-                for seg in self.cache.segments_of(req.offset, req.span)
-            ]
-            i = 0
-            while i < len(plan):
+            cache = self.cache
+            first, nsegs, dirty, head, tail = cache.dense_run(req.offset, req.span)
+            seg, end = first, first + nsegs
+            force = False
+            while seg < end:
                 # absorb the throttle-free, flush-free prefix in one call
-                i += self.cache.insert_dirty_run(inode.fileid, plan, i)
-                if i >= len(plan):
-                    break
-                seg, dirty = plan[i]
-                if self.cache.need_throttle:
+                done, victim = cache.insert(
+                    inode.fileid, seg, end - seg, dirty, head if seg == first else None, tail,
+                    throttle=True, force=force,
+                )
+                seg += done
+                force = victim is None
+                if victim is not None:
+                    yield from self._push_runs([victim])
+                elif seg < end and cache.need_throttle:
                     yield from self._flush_some(inode)
-                victims = self.cache.insert(inode.fileid, seg, dirty)
-                if victims:
-                    yield from self._flush_victims(victims)
-                i += 1
             inode_end = req.offset + req.span
             if inode_end > inode.size:
                 inode.size = inode_end  # size pushed at next flush/commit
@@ -495,24 +492,22 @@ class NFSMount:
         inode.size = max(inode.size, end)
         return total
 
-    def _flush_victims(self, victims):  # simlint: ignore[generator-serve]
-        yield from self._push_entries(victims)
-
     def _flush_some(self, inode):  # simlint: ignore[generator-serve]
         """Drain roughly a quarter of the dirty set (throttling writers)."""
-        batch = self.cache.dirty_segments(limit=max(self.cache.spec.nsegments // 4, 8))
-        yield from self._push_entries(batch)
+        yield from self._push_runs(self._throttle_batch())
 
-    def _push_entries(self, entries):  # simlint: ignore[generator-serve]
+    def _throttle_batch(self) -> list[Run]:
+        return self.cache.dirty_runs(limit=max(self.cache.spec.nsegments // 4, 8))
+
+    def _push_runs(self, runs: list[Run]):  # simlint: ignore[generator-serve]
         """Send dirty cache runs to the server as wsize-chunked streams."""
         sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, dirty in PageCache.coalesce(entries):
+        for fileid, first, nsegs, dirty in runs:
             inode = self._inode_by_id(fileid)
             run_bytes = nsegs * sb
             density = dirty / run_bytes
             if inode is None:
-                for s in range(first, first + nsegs):
-                    self.cache.mark_clean(fileid, s)
+                self.cache.clean(fileid, first, nsegs)
                 continue
             if density >= 0.5:
                 nrpc = max(run_bytes // self.spec.wsize, 1)
@@ -540,8 +535,7 @@ class NFSMount:
                     return self.server.export.submit(_inode, sub)
 
                 yield from self._stream(nrpc, nb, 8, server_window)
-            for s in range(first, first + nsegs):
-                self.cache.mark_clean(fileid, s)
+            self.cache.clean(fileid, first, nsegs)
 
     def _inode_by_id(self, fileid):
         return self.server.export._by_id.get(fileid)
@@ -557,7 +551,8 @@ class NFSMount:
 
         if self.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
             span = min(req.span, max(inode.size - req.offset, 0))
-            self.cache.touch_run(inode.fileid, self.cache.segments_of(req.offset, span))
+            segs = self.cache.segments_of(req.offset, span)
+            self.cache.touch(inode.fileid, segs.start, len(segs))
             return total
         if req.is_dense:
             yield from self._dense_read(inode, req)
@@ -575,42 +570,37 @@ class NFSMount:
         return total
 
     def _dense_read(self, inode: Inode, req: IORequest):  # simlint: ignore[generator-serve]
-        sb = self.cache.spec.segment_bytes
         span = min(req.span, max(inode.size - req.offset, 0))
-        miss_run: list[int] = []
-        for seg in self.cache.segments_of(req.offset, span):
-            if self.cache.touch(inode.fileid, seg):
-                if miss_run:
-                    yield from self._fetch(inode, miss_run)
-                    miss_run = []
-            else:
-                miss_run.append(seg)
-        if miss_run:
-            yield from self._fetch(inode, miss_run)
+        segs = self.cache.segments_of(req.offset, span)
+        seg, end = segs.start, segs.stop
+        while seg < end:
+            miss, nmiss = self.cache.lookup(inode.fileid, seg, end - seg)
+            if not nmiss:
+                break
+            seg = miss + nmiss + 1  # past the hit that ended the miss run
+            yield from self._fetch(inode, miss, nmiss)
 
-    def _fetch(self, inode: Inode, segs: list[int]):  # simlint: ignore[generator-serve]
+    def _fetch(self, inode: Inode, first: int, nsegs: int):  # simlint: ignore[generator-serve]
         """READ-RPC a run of segments from the server into the cache."""
         sb = self.cache.spec.segment_bytes
-        for fileid, first, nsegs, _d in PageCache.coalesce((inode.fileid, s, 0) for s in segs):
-            run_bytes = min(nsegs * sb, max(inode.size - first * sb, sb))
-            nrpc = max(run_bytes // self.spec.rsize, 1)
+        run_bytes = min(nsegs * sb, max(inode.size - first * sb, sb))
+        nrpc = max(run_bytes // self.spec.rsize, 1)
 
-            def server_window(w, idx, _first=first):
-                sub = IORequest(
-                    "read", _first * sb + idx * self.spec.rsize, self.spec.rsize, count=w
-                )
-                return self.server.export.submit(inode, sub)
+        def server_window(w, idx):
+            sub = IORequest(
+                "read", first * sb + idx * self.spec.rsize, self.spec.rsize, count=w
+            )
+            return self.server.export.submit(inode, sub)
 
-            yield from self._stream(nrpc, 8, self.spec.rsize, server_window)
-            s, end = first, first + nsegs
-            while s < end:
-                s += self.cache.insert_clean_run(fileid, s, end - s)
-                if s >= end:
-                    break
-                victims = self.cache.insert(fileid, s, 0)
-                s += 1
-                if victims:
-                    yield from self._push_entries(victims)
+        yield from self._stream(nrpc, 8, self.spec.rsize, server_window)
+        s, end = first, first + nsegs
+        force = False
+        while s < end:
+            done, victim = self.cache.insert(inode.fileid, s, end - s, force=force)
+            s += done
+            force = victim is None
+            if victim is not None:
+                yield from self._push_runs([victim])
 
     # -- consistency ----------------------------------------------------------
     def _close(self, inode: Inode):  # simlint: ignore[generator-serve]
@@ -619,9 +609,9 @@ class NFSMount:
         return inode
 
     def _commit(self, inode: Inode):  # simlint: ignore[generator-serve]
-        entries = self.cache.dirty_segments(limit=None, fileid=inode.fileid)
-        if entries:
-            yield from self._push_entries(entries)
+        runs = self.cache.dirty_runs(fileid=inode.fileid)
+        if runs:
+            yield from self._push_runs(runs)
         yield self.network.transfer(
             self.node.name, self.server.node.name, self.spec.rpc_header_bytes
         )
@@ -848,14 +838,14 @@ class _FlatStream:
 
 
 class _FlatPush:
-    """Flat counterpart of :meth:`NFSMount._push_entries`."""
+    """Flat counterpart of :meth:`NFSMount._push_runs`."""
 
     __slots__ = ("m", "op", "runs", "i", "k")
 
-    def __init__(self, m, op, entries, k):
+    def __init__(self, m, op, runs, k):
         self.m = m
         self.op = op
-        self.runs = list(PageCache.coalesce(entries))
+        self.runs = runs
         self.i = 0
         self.k = k
         self._next()
@@ -870,8 +860,7 @@ class _FlatPush:
             run_bytes = nsegs * sb
             density = dirty / run_bytes
             if inode is None:
-                for s in range(first, first + nsegs):
-                    m.cache.mark_clean(fileid, s)
+                m.cache.clean(fileid, first, nsegs)
                 self.i += 1
                 continue
             if density >= 0.5:
@@ -906,35 +895,25 @@ class _FlatPush:
     def _streamed(self, _v=None):
         m = self.m
         fileid, first, nsegs, _d = self.runs[self.i]
-        for s in range(first, first + nsegs):
-            m.cache.mark_clean(fileid, s)
+        m.cache.clean(fileid, first, nsegs)
         self.i += 1
         self._next()
 
 
-class _FlatFetch(object):
+class _FlatFetch:
     """Flat counterpart of :meth:`NFSMount._fetch`."""
 
-    __slots__ = ("m", "op", "inode", "runs", "i", "s", "k")
+    __slots__ = ("m", "op", "inode", "s", "end", "force", "k")
 
-    def __init__(self, m, op, inode, segs, k):
+    def __init__(self, m, op, inode, first, nsegs, k):
         self.m = m
         self.op = op
         self.inode = inode
-        self.runs = list(PageCache.coalesce((inode.fileid, s, 0) for s in segs))
-        self.i = 0
-        self.s = 0
+        self.s = first
+        self.end = first + nsegs
+        self.force = False
         self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        m = self.m
         sb = m.cache.spec.segment_bytes
-        if self.i >= len(self.runs):
-            self.k()
-            return
-        _fileid, first, nsegs, _d = self.runs[self.i]
-        inode = self.inode
         run_bytes = min(nsegs * sb, max(inode.size - first * sb, sb))
         nrpc = max(run_bytes // m.spec.rsize, 1)
 
@@ -944,24 +923,19 @@ class _FlatFetch(object):
             )
             return _m.server.export.submit(_inode, sub)
 
-        self.s = first
-        _FlatStream(m, self.op, nrpc, 8, m.spec.rsize, server_window, self._insert_loop)
+        _FlatStream(m, op, nrpc, 8, m.spec.rsize, server_window, self._insert_loop)
 
     def _insert_loop(self, _v=None):
-        m = self.m
-        fileid, first, nsegs, _d = self.runs[self.i]
-        end = first + nsegs
-        while self.s < end:
-            self.s += m.cache.insert_clean_run(fileid, self.s, end - self.s)
-            if self.s >= end:
-                break
-            victims = m.cache.insert(fileid, self.s, 0)
-            self.s += 1
-            if victims:
-                _FlatPush(m, self.op, victims, self._insert_loop)
+        cache = self.m.cache
+        fileid = self.inode.fileid
+        while self.s < self.end:
+            done, victim = cache.insert(fileid, self.s, self.end - self.s, force=self.force)
+            self.s += done
+            self.force = victim is None
+            if victim is not None:
+                _FlatPush(self.m, self.op, [victim], self._insert_loop)
                 return
-        self.i += 1
-        self._next()
+        self.k()
 
 
 class _FlatDirect(FlatOp):
@@ -1138,7 +1112,7 @@ class _FlatMetaRpc(FlatOp):
 class _NFSWrite(FlatOp):
     """Flat counterpart of :meth:`NFSMount._write`."""
 
-    __slots__ = ("m", "inode", "req", "total", "_segs", "_si", "_stage")
+    __slots__ = ("m", "inode", "req", "total", "_run", "_seg", "_force")
 
     def __init__(self, m, inode, req):
         self.m = m
@@ -1163,14 +1137,9 @@ class _NFSWrite(FlatOp):
         req = self.req
         m.stats.bytes_sent += self.total
         if req.is_dense:
-            sb = m.cache.spec.segment_bytes
-            end = req.offset + req.span
-            self._segs = [
-                (seg, min(end, (seg + 1) * sb) - max(req.offset, seg * sb))
-                for seg in m.cache.segments_of(req.offset, req.span)
-            ]
-            self._si = 0
-            self._stage = 0
+            self._run = m.cache.dense_run(req.offset, req.span)
+            self._seg = self._run[0]
+            self._force = False
             self._seg_loop()
             return
         # Sparse stream: one WRITE RPC per operation, pipelined.
@@ -1193,32 +1162,25 @@ class _NFSWrite(FlatOp):
 
     def _seg_loop(self, _v=None):
         m = self.m
-        plan = self._segs
+        cache = m.cache
         fileid = self.inode.fileid
-        while self._si < len(plan):
-            st = self._stage
-            if st == 0:
-                # absorb the throttle-free, flush-free prefix in one call
-                self._si += m.cache.insert_dirty_run(fileid, plan, self._si)
-                if self._si >= len(plan):
-                    break
-                if m.cache.need_throttle:
-                    self._stage = 1
-                    batch = m.cache.dirty_segments(
-                        limit=max(m.cache.spec.nsegments // 4, 8)
-                    )
-                    _FlatPush(m, self, batch, self._seg_loop)
-                    return
-                st = 1
-            if st == 1:
-                seg, dirty = plan[self._si]
-                victims = m.cache.insert(fileid, seg, dirty)
-                if victims:
-                    self._stage = 2
-                    _FlatPush(m, self, victims, self._seg_loop)
-                    return
-            self._si += 1
-            self._stage = 0
+        first, nsegs, dirty, head, tail = self._run
+        end = first + nsegs
+        while self._seg < end:
+            # absorb the throttle-free, flush-free prefix in one call
+            seg = self._seg
+            done, victim = cache.insert(
+                fileid, seg, end - seg, dirty, head if seg == first else None, tail,
+                throttle=True, force=self._force,
+            )
+            self._seg = seg = seg + done
+            self._force = victim is None
+            if victim is not None:
+                _FlatPush(m, self, [victim], self._seg_loop)
+                return
+            if seg < end and cache.need_throttle:
+                _FlatPush(m, self, m._throttle_batch(), self._seg_loop)
+                return
         inode = self.inode
         inode_end = self.req.offset + self.req.span
         if inode_end > inode.size:
@@ -1229,7 +1191,7 @@ class _NFSWrite(FlatOp):
 class _NFSRead(FlatOp):
     """Flat counterpart of :meth:`NFSMount._read` (incl. ``_dense_read``)."""
 
-    __slots__ = ("m", "inode", "req", "total", "_segs", "_si", "_miss")
+    __slots__ = ("m", "inode", "req", "total", "_seg", "_end")
 
     def __init__(self, m, inode, req):
         self.m = m
@@ -1257,14 +1219,14 @@ class _NFSRead(FlatOp):
 
         if m.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
             span = min(req.span, max(inode.size - req.offset, 0))
-            m.cache.touch_run(inode.fileid, m.cache.segments_of(req.offset, span))
+            segs = m.cache.segments_of(req.offset, span)
+            m.cache.touch(inode.fileid, segs.start, len(segs))
             self._finish(self.total)
             return
         if req.is_dense:
             span = min(req.span, max(inode.size - req.offset, 0))
-            self._segs = list(m.cache.segments_of(req.offset, span))
-            self._si = 0
-            self._miss = []
+            segs = m.cache.segments_of(req.offset, span)
+            self._seg, self._end = segs.start, segs.stop
             self._scan()
             return
         # Sparse cold reads: one READ RPC per op.
@@ -1284,24 +1246,14 @@ class _NFSRead(FlatOp):
     def _scan(self, _v=None):
         m = self.m
         inode = self.inode
-        segs = self._segs
-        while self._si < len(segs):
-            seg = segs[self._si]
-            self._si += 1
-            if m.cache.touch(inode.fileid, seg):
-                if self._miss:
-                    miss, self._miss = self._miss, []
-                    _FlatFetch(m, self, inode, miss, self._scan)
-                    return
-            else:
-                self._miss.append(seg)
-        if self._miss:
-            miss, self._miss = self._miss, []
-            _FlatFetch(m, self, inode, miss, self._fetch_done)
+        end = self._end
+        while self._seg < end:
+            miss, nmiss = m.cache.lookup(inode.fileid, self._seg, end - self._seg)
+            if not nmiss:
+                break
+            self._seg = miss + nmiss + 1  # past the hit that ended the miss run
+            _FlatFetch(m, self, inode, miss, nmiss, self._scan)
             return
-        self._finish(self.total)
-
-    def _fetch_done(self, _v=None):
         self._finish(self.total)
 
 
@@ -1318,9 +1270,9 @@ class _FlatCommit(FlatOp):
 
     def _start(self, event):
         m = self.m
-        entries = m.cache.dirty_segments(limit=None, fileid=self.inode.fileid)
-        if entries:
-            _FlatPush(m, self, entries, self._pushed)
+        runs = m.cache.dirty_runs(fileid=self.inode.fileid)
+        if runs:
+            _FlatPush(m, self, runs, self._pushed)
             return
         self._pushed()
 

@@ -124,8 +124,8 @@ class TestDataPath:
         env.run(fs.submit(a, IORequest("write", 0, 1 * MiB)))
         env.run(fs.submit(b, IORequest("write", 0, 1 * MiB)))
         env.run(fs.fsync(a))
-        assert not fs.cache.dirty_segments(fileid=a.fileid)
-        assert fs.cache.dirty_segments(fileid=b.fileid)
+        assert not fs.cache.dirty_runs(fileid=a.fileid)
+        assert fs.cache.dirty_runs(fileid=b.fileid)
 
     def test_sync_flushes_everything(self):
         env, fs = make_fs()
@@ -250,3 +250,41 @@ class TestEOFReads:
         fs.cache.drop_file(inode.fileid)
         env.run(fs.submit(inode, IORequest("read", 0, 1 * MiB)))
         assert fs.array.stats.bytes_read > 0
+
+
+class TestServicePathsAgree:
+    """The generator service paths (``REPRO_NO_FSFAST``) and their flat
+    twins drive the page cache through the same calls, so a mixed
+    request stream leaves identical time, device traffic and cache."""
+
+    REQUESTS = [
+        IORequest("write", 100, 3 * MiB),
+        IORequest("write", 0, 4 * KiB, count=500, stride=3 * MiB // 2),
+        IORequest("write", 0, 4 * KiB, count=300, stride=64 * KiB),
+        IORequest("read", 0, 5 * MiB),
+        IORequest("write", 7 * MiB + 5, 20 * MiB),
+        IORequest("read", 2 * MiB, 3 * MiB),
+    ]
+
+    @staticmethod
+    def run(fs_fast, write_back):
+        from repro.simengine import resources as kernel
+
+        saved = kernel.FS_FAST
+        kernel.FS_FAST = fs_fast
+        try:
+            env, fs = make_fs(ram=16 * MiB, write_back=write_back)
+            inode = env.run(fs.create("/f"))
+            for req in TestServicePathsAgree.REQUESTS:
+                env.run(fs.submit(inode, req))
+            env.run(fs.fsync(inode))
+        finally:
+            kernel.FS_FAST = saved
+        return (env.now, inode.size, fs.array.stats.bytes_written, fs.array.stats.bytes_read,
+                fs.stats.flush_runs, fs.cache.stats, fs.cache.lru_keys())
+
+    @pytest.mark.parametrize("write_back", [True, False])
+    def test_generator_and_flat_paths_agree(self, write_back):
+        flat = self.run(True, write_back)
+        assert flat[1] == max(r.offset + r.span for r in self.REQUESTS if r.op == "write")
+        assert self.run(False, write_back) == flat

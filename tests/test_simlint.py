@@ -437,7 +437,7 @@ def test_generator_serve_flags_yield_from_delegation():
 
 
 def test_generator_serve_quiet_on_data_generators():
-    # PageCache.coalesce-style pure data generators yield tuples, not
+    # run-coalescing pure data generators yield tuples, not
     # simulation events — they are not serve loops
     fs = findings(
         """

@@ -106,4 +106,4 @@ def test_handle_fsync(system):
     fh = env.run(system.node("n0").vfs.create("/local/f"))
     env.run(fh.write(1 * MiB))
     env.run(fh.fsync())
-    assert system.local_fs["n0"].cache.dirty_segments(fileid=fh.inode.fileid) == []
+    assert system.local_fs["n0"].cache.dirty_runs(fileid=fh.inode.fileid) == []
