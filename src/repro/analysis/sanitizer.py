@@ -8,9 +8,9 @@ simulation runs and at teardown:
 
 * **event-time monotonicity** — no event is *scheduled* before the
   current clock (checked at insert: every calendar entry, whether from
-  ``Timeout``/``Wake``/``Initialize`` construction, ``succeed``/
-  ``fail`` triggering or the batch ``schedule_many`` path, funnels
-  through ``Environment._push``, which the sanitizer interposes) and
+  ``Timeout``/``Wake``/``Initialize`` construction, resource grants
+  or ``succeed``/``fail`` triggering, funnels through
+  ``Environment._push``, which the sanitizer interposes) and
   the calendar never pops one scheduled before the clock;
 * **deterministic tie-breaking** — heap pop keys ``(time, priority,
   seq)`` strictly increase whenever no new event was scheduled since
@@ -179,8 +179,7 @@ class SimSanitizer:
         env.step = self._checked_step  # type: ignore[method-assign]
         env.reset = self._checked_reset  # type: ignore[method-assign]
         # the single scheduling funnel: interposing here observes every
-        # calendar insert (schedule_many detects the instance override
-        # and routes each entry through it)
+        # calendar insert
         env._push = self._checked_push  # type: ignore[method-assign]
         self._attached = True
         self._rebaseline()

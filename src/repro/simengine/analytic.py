@@ -405,7 +405,7 @@ class SliceRing:
         if final:
             # in a final slice the sliced loop leaves ``remaining``
             # untouched and sleeps Timeout(remaining) — resume there
-            Wake(self.env, end).callbacks.append(holder._final_sleep_done)
+            Wake(self.env, end).callbacks.append(holder._release_and_done)
         else:
             # mid-quantum: the sliced loop decremented before sleeping
             holder.remaining = rems[0] - holder.quantum
@@ -852,7 +852,7 @@ class CoupledRing:
         if final:
             # in a final slice the sliced loop leaves ``remaining``
             # untouched and sleeps Timeout(remaining) — resume there
-            Wake(self.env, end).callbacks.append(holder._final_sleep_done)
+            Wake(self.env, end).callbacks.append(holder._release_and_done)
         else:
             # mid-quantum: the sliced loop decremented before sleeping
             holder.remaining = rems[holder] - holder.quantum

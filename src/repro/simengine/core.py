@@ -21,7 +21,7 @@ enters the simulation.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -89,9 +89,13 @@ class Event:
         """Trigger the event successfully with ``value``."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if self._scheduled:
+            raise SimulationError(f"{self!r} scheduled twice")
         self._ok = True
         self._value = value
-        self.env._schedule(self, priority)
+        self._scheduled = True
+        env = self.env
+        env._push(env._now, priority, self)
         return self
 
     def fail(self, exception: BaseException, priority: int = 1) -> "Event":
@@ -123,8 +127,8 @@ class Timeout(Event):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         # Timeouts are created triggered-and-scheduled; bypassing
-        # Event.__init__ and the _schedule_at re-schedule guard saves
-        # two attribute round trips on the kernel's most common event.
+        # Event.__init__ and the _schedule re-schedule guard saves two
+        # attribute round trips on the kernel's most common event.
         self.env = env
         self.callbacks = []
         self.delay = delay
@@ -161,17 +165,14 @@ class Initialize(Event):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process", _defer: bool = False):
+    def __init__(self, env: "Environment", process: "Process"):
         # Like Timeout, created triggered-and-scheduled in one step.
-        # ``_defer=True`` builds the event without inserting it; the
-        # caller batch-inserts via :meth:`Environment.schedule_many`.
         self.env = env
         self.callbacks = [process._resume]
         self._ok = True
         self._value = None
         self._scheduled = True
-        if not _defer:
-            env._push(env._now, 0, self)
+        env._push(env._now, 0, self)
 
 
 class Hop(Event):
@@ -191,15 +192,13 @@ class Hop(Event):
         env: "Environment",
         callback: Callable[["Event"], None],
         priority: int = 1,
-        _defer: bool = False,
     ):
         self.env = env
         self.callbacks = [callback]
         self._ok = True
         self._value = None
         self._scheduled = True
-        if not _defer:
-            env._push(env._now, priority, self)
+        env._push(env._now, priority, self)
 
 
 class Process(Event):
@@ -218,7 +217,6 @@ class Process(Event):
         env: "Environment",
         generator: Generator,
         name: str = "",
-        _defer: bool = False,
     ):
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
@@ -232,8 +230,7 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        if not _defer:
-            Initialize(env, self)
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -340,8 +337,12 @@ class FlatOp:
             self._fail(ev._value)
 
     def _on(self, ev: Event) -> None:
+        # drop the stored continuation first: it is a bound method of
+        # this op, so keeping it would tie the op into a cycle
+        k = self._k
+        self._k = None
         if ev._ok:
-            self._k(ev._value)
+            k(ev._value)
         else:
             self._fail(ev._value)
 
@@ -508,22 +509,6 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name)
 
-    def process_many(self, generators: Iterable[Generator], name: str = "") -> list[Process]:
-        """Start a burst of processes; calendar entries insert as one batch.
-
-        Equivalent to ``[env.process(g, name) for g in generators]`` —
-        the ``Initialize`` events receive the same consecutive sequence
-        numbers, so pop order (and therefore the simulation) is
-        bit-identical — but a large burst heapifies once instead of
-        sifting per insert (see :meth:`schedule_many`).
-        """
-        procs = [Process(self, g, name, _defer=True) for g in generators]
-        now = self._now
-        self.schedule_many(
-            [(now, 0, Initialize(self, p, _defer=True)) for p in procs]
-        )
-        return procs
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
@@ -542,47 +527,11 @@ class Environment:
         self._seq += 1
         heappush(self._queue, (when, priority, self._seq, event))
 
-    def schedule_many(self, entries: list[tuple[float, int, Event]]) -> None:
-        """Batch-insert ``(when, priority, event)`` calendar entries.
-
-        Sequence numbers are assigned in list order — exactly what a
-        loop of single inserts would produce, so the heap holds the
-        same key set and pops in the same order.  Bursts that are large
-        relative to the calendar heapify once (O(n + k)) instead of
-        sifting per entry (O(k log n)).  Events must already be
-        triggered and marked scheduled (``Timeout``-style construction).
-        """
-        if "_push" in self.__dict__:
-            # instrumented (sanitizer): every entry through the funnel
-            for when, priority, event in entries:
-                self._push(when, priority, event)
-            return
-        queue = self._queue
-        seq = self._seq
-        k = len(entries)
-        n = k + len(queue)
-        if k > 8 and 2 * n < k * (n.bit_length() - 1):
-            for when, priority, event in entries:
-                seq += 1
-                queue.append((when, priority, seq, event))
-            heapify(queue)
-        else:
-            for when, priority, event in entries:
-                seq += 1
-                heappush(queue, (when, priority, seq, event))
-        self._seq = seq
-
     def _schedule(self, event: Event, priority: int = 1) -> None:
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._push(self._now, priority, event)
-
-    def _schedule_at(self, event: Event, when: float, priority: int = 1) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} scheduled twice")
-        event._scheduled = True
-        self._push(when, priority, event)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:

@@ -19,7 +19,7 @@ import os
 from typing import Any, Generator, Optional
 
 from . import analytic as _analytic
-from .core import Environment, Event, Hop, SimulationError, Timeout, Wake
+from .core import PENDING, Environment, Event, Hop, SimulationError, Timeout, Wake
 
 __all__ = [
     "Request",
@@ -50,23 +50,28 @@ FS_FAST = os.environ.get("REPRO_NO_FSFAST", "") in ("", "0")
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
-    Fires when the slot is granted.  Must be released exactly once via
-    :meth:`Resource.release`.
+    Fires with value ``None`` when the slot is granted.  Must be
+    released exactly once via :meth:`Resource.release`.
     """
 
     __slots__ = ("resource", "priority", "_order", "_released", "fh", "t_arrival", "order_key")
 
     def __init__(self, resource: "Resource", priority: int = 0, order_key=None):
-        super().__init__(resource.env)
+        # inlined Event.__init__ (one request per grant)
+        env = self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._scheduled = False
         self.resource = resource
         self.priority = priority
         resource._order += 1
         self._order = resource._order
         self._released = False
-        # back-pointer set by FastHold re-acquires; lets the analytic
-        # slice rings recognise steady rotation members in the queue
+        # back-pointer set by FastHold re-acquires in analytic mode;
+        # lets the slice rings recognise rotation members in the queue
         self.fh = None
-        self.t_arrival = resource.env._now
+        self.t_arrival = env._now
         # semantic tie-break among waiters that arrived at the *same*
         # sim-time: requests carrying a key are ordered by it instead of
         # by incidental insertion order (e.g. the disk head queues by
@@ -97,6 +102,10 @@ class Resource:
     ``order_key`` are granted in key order rather than incidental
     insertion order (see :meth:`request`).
     """
+
+    #: False in subclasses whose queue order is not arrival order:
+    #: every grant of theirs goes through :meth:`_pop_next`
+    _fifo = True
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -129,19 +138,22 @@ class Resource:
             for cb in self._request_hooks[:]:
                 cb()
         req = Request(self, priority, order_key)
-        if len(self.users) < self.capacity and not self.queue:
+        queue = self.queue
+        if not queue and len(self.users) < self.capacity:
+            # grant: a fresh request is pending and unscheduled, so the
+            # checks of Event.succeed cannot fire
             self.users.append(req)
-            req.succeed(req)
+            req._value = None
+            req._scheduled = True
+            env = self.env
+            env._push(env._now, 1, req)
         else:
-            self._enqueue(req)
+            queue.append(req)
+            if self._arrival_watchers:
+                watchers, self._arrival_watchers = self._arrival_watchers, []
+                for ev in watchers:
+                    ev.succeed(self)
         return req
-
-    def _enqueue(self, req: Request) -> None:
-        self.queue.append(req)
-        if self._arrival_watchers:
-            watchers, self._arrival_watchers = self._arrival_watchers, []
-            for ev in watchers:
-                ev.succeed(self)
 
     # -- arrival notification (coalesced holds) -------------------------
     def watch_arrival(self) -> Event:
@@ -193,29 +205,37 @@ class Resource:
                 san.resource_misuse(msg)
             raise SimulationError(msg) from None
         req._released = True
-        self._grant_next()
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self._pop_next()
-            self.users.append(nxt)
-            nxt.succeed(nxt)
+        queue = self.queue
+        users = self.users
+        while queue and len(users) < self.capacity:
+            if len(queue) > 1 and (
+                queue[1].t_arrival == queue[0].t_arrival or not self._fifo
+            ):
+                nxt = self._pop_next()
+            else:
+                nxt = queue.pop(0)
+            users.append(nxt)
+            # queued requests are pending and unscheduled: grant inline
+            nxt._value = None
+            nxt._scheduled = True
+            env = self.env
+            env._push(env._now, 1, nxt)
 
     def _pop_next(self) -> Request:
+        """Dequeue the next waiter of a same-arrival-time cohort at the
+        head of the queue, by :func:`_tie_rank`."""
         queue = self.queue
-        if len(queue) > 1 and queue[1].t_arrival == queue[0].t_arrival:
-            t0 = queue[0].t_arrival
-            best = 0
-            best_rank = _tie_rank(queue[0])
-            for i in range(1, len(queue)):
-                req = queue[i]
-                if req.t_arrival != t0:
-                    break
-                rank = _tie_rank(req)
-                if rank < best_rank:
-                    best, best_rank = i, rank
-            return queue.pop(best)
-        return queue.pop(0)
+        t0 = queue[0].t_arrival
+        best = 0
+        best_rank = _tie_rank(queue[0])
+        for i in range(1, len(queue)):
+            req = queue[i]
+            if req.t_arrival != t0:
+                break
+            rank = _tie_rank(req)
+            if rank < best_rank:
+                best, best_rank = i, rank
+        return queue.pop(best)
 
     def using(self, hold: float, priority: int = 0) -> Generator:
         """Generator helper: acquire, hold for ``hold`` seconds, release.
@@ -246,6 +266,8 @@ _analytic._REQUEST_CLS = Request
 
 class PriorityResource(Resource):
     """Resource whose queue is ordered by (priority, arrival order)."""
+
+    _fifo = False
 
     def _pop_next(self) -> Request:
         queue = self.queue
@@ -406,22 +428,21 @@ class FastHold:
         """Acquire ``resources`` in list order, one grant at a time —
         the fixed-order chain of ``yield req`` in the generator paths."""
         self._acq_i = 0
-        self.reqs = []
-        self._acquire_next()
+        req = self.resources[0].request(self.priority, self.order_key)  # simlint: ignore[resource-release]
+        self.reqs = [req]
+        req.callbacks.append(self._on_grant)
 
-    def _acquire_next(self) -> None:
-        i = self._acq_i
+    def _on_grant(self, ev: Event) -> None:
+        # resource ``_acq_i`` granted: request the next one, or hold
+        i = self._acq_i + 1
         resources = self.resources
         if i == len(resources):
             self._granted()
             return
+        self._acq_i = i
         req = resources[i].request(self.priority, self.order_key)  # simlint: ignore[resource-release]
         self.reqs.append(req)
         req.callbacks.append(self._on_grant)
-
-    def _on_grant(self, req: Event) -> None:
-        self._acq_i += 1
-        self._acquire_next()
 
     # -- the hold loop (mirrors hold_quantum statement for statement) ----
     def _begin_hold(self, total: float, quantum: float) -> None:
@@ -437,7 +458,7 @@ class FastHold:
             return
         quantum = self.quantum
         if remaining <= quantum:
-            Timeout(env, remaining).callbacks.append(self._final_sleep_done)
+            Timeout(env, remaining).callbacks.append(self._release_and_done)
             return
         resources = self.resources
         contended = False
@@ -516,7 +537,8 @@ class FastHold:
         Wake(env, b).callbacks.append(self._after_sleep)
 
     def _after_sleep(self, ev: Event) -> None:
-        # hold_quantum loop bottom: yield slots to queued competitors
+        # hold_quantum loop bottom: yield slots to queued competitors,
+        # then re-request them in list order
         if self.remaining > 0:
             resources = self.resources
             for r in resources:
@@ -524,36 +546,35 @@ class FastHold:
                     reqs = self.reqs
                     for i in range(len(resources) - 1, -1, -1):
                         resources[i].release(reqs[i])
-                    self._acq_i = 0
-                    self._reacquire_next()
+                    self._acq_i = -1
+                    self._on_regrant(None)
                     return
         self._hold_step()
 
-    def _reacquire_next(self) -> None:
-        i = self._acq_i
+    def _on_regrant(self, ev: Optional[Event]) -> None:
+        # re-acquired resource ``_acq_i`` (-1: none yet): request the
+        # next one, or resume the hold loop
+        i = self._acq_i + 1
         resources = self.resources
         if i == len(resources):
             self._hold_step()
             return
-        req = resources[i].request(self.priority, self.order_key)  # simlint: ignore[resource-release]
-        req.fh = self
+        self._acq_i = i
+        r = resources[i]
+        req = r.request(self.priority, self.order_key)  # simlint: ignore[resource-release]
         self.reqs[i] = req
         req.callbacks.append(self._on_regrant)
-        if not req.triggered and _analytic.ANALYTIC:
-            # a stalled re-acquire is the last deferred hop of a
-            # rotation boundary — the first instant a two-level steady
-            # window is fully observable (the new holder's _hold_step
-            # ran one grant-callback too early to see this queue entry)
-            _analytic.try_adopt_late(resources[i])
+        if _analytic.ANALYTIC:
+            req.fh = self
+            if req._value is PENDING:
+                # a stalled re-acquire is the last deferred hop of a
+                # rotation boundary — the first instant a two-level
+                # steady window is fully observable (the new holder's
+                # _hold_step ran one grant-callback too early to see
+                # this queue entry)
+                _analytic.try_adopt_late(r)
 
-    def _on_regrant(self, req: Event) -> None:
-        self._acq_i += 1
-        self._reacquire_next()
-
-    def _final_sleep_done(self, ev: Event) -> None:
-        self._release_and_done()
-
-    def _release_and_done(self) -> None:
+    def _release_and_done(self, ev: Optional[Event] = None) -> None:
         # the callers' ``finally``: release in reverse list order,
         # guarded against a slot already gone (teardown mid-hold)
         resources = self.resources

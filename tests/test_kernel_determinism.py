@@ -5,7 +5,8 @@ FastHold state machines, the coalesced-wake quantum path, the analytic
 slice rings and the vectorized disk scatter each claim to insert the
 same calendar entries (or compute the same floats) as the code they
 replace.  This suite holds them to it by byte-comparing performance
-tables and completion clocks across the four kernel modes:
+tables, completion clocks and final system state across the kernel
+modes:
 
 * ``baseline`` — all optimizations on (the shipped default);
 * ``no_fasthold`` — ``REPRO_NO_FASTHOLD``: generator serve paths;
@@ -15,7 +16,11 @@ tables and completion clocks across the four kernel modes:
 * ``analytic`` — ``REPRO_ANALYTIC``: slice rings + numpy scatter.
 
 Coverage: the Aohyper characterization tables (iolib/localfs/nfs) for
-jbod, raid1 and raid5; all eight iozone workloads plus IOR and BT-IO;
+jbod, raid1 and raid5; all eight iozone workloads plus IOR and BT-IO,
+where the iozone and BT-IO runs also compare every file's final size
+and every filesystem, NFS, page-cache, disk and link counter (a wrong
+``inode.size`` leaves rates and clocks unchanged, so those alone
+cannot see it);
 synthetic slice-ring scenarios (plain rotation, a mid-window arrival
 that forces a dissolve, pivot at a non-zero member index, and
 idle-suffix members) that pin the ring adoption machinery directly;
@@ -35,6 +40,7 @@ import pytest
 from repro import aohyper_config, characterize_system
 from repro.clusters.builder import build_system
 from repro.hardware.disk import Disk, DiskSpec, READ, WRITE
+from repro.obs.metrics import MetricsRegistry
 from repro.simengine import Environment
 from repro.simengine import analytic as _analytic
 from repro.simengine import resources as _kernel
@@ -103,22 +109,51 @@ def test_characterization_tables_bit_identical(device, mode):
 # ----------------------------------------------------------------------
 # the eight iozone workloads + IOR + BT-IO across kernel modes
 # ----------------------------------------------------------------------
-def _iozone_rows(device: str, mode: str):
+def _track_file_sizes(system) -> list:
+    """Record ``(fs, path, size)`` of every file as it is unlinked;
+    :func:`_final_state` adds the files still present at the end."""
+    sizes: list = []
+    for fs in (system.export, *system.local_fs.values()):
+        unlink = fs.unlink
+
+        def spy(path, fs=fs, unlink=unlink):
+            if fs.exists(path):
+                sizes.append((fs.name, path, fs.stat(path).size))
+            return unlink(path)
+
+        fs.unlink = spy
+    return sizes
+
+
+def _final_state(system, unlinked: list):
+    """File sizes plus every fs/NFS/page-cache/device counter."""
+    sizes = list(unlinked)
+    for fs in (system.export, *system.local_fs.values()):
+        sizes.extend((fs.name, path, fs.stat(path).size) for path in sorted(fs.paths()))
+    return sizes, MetricsRegistry(system).snapshot().values
+
+
+def _iozone_run(device: str, mode: str):
     with kernel_mode(mode):
         system = build_system(Environment(), small_config(device))
+        unlinked = _track_file_sizes(system)
         res = run_iozone(
             system, "n0", "/local/z", file_bytes=16 * MiB,
             block_sizes=(256 * KiB,), include_strided=True, include_random=True,
         )
-    return [(r.test, r.rate_Bps) for r in res.rows]
+    rows = [(r.test, r.rate_Bps) for r in res.rows]
+    return rows, _final_state(system, unlinked)
 
 
 @pytest.mark.parametrize("mode", ALT_MODES)
 @pytest.mark.parametrize("device", DEVICES)
 def test_iozone_eight_workloads_bit_identical(device, mode):
-    reference = _iozone_rows(device, "baseline")
-    assert len({test for test, _ in reference}) == 8
-    assert _iozone_rows(device, mode) == reference
+    reference = _iozone_run(device, "baseline")
+    rows, (sizes, counters) = reference
+    assert len({test for test, _ in rows}) == 8
+    assert [(path, size) for _fs, path, size in sizes] == [("/local/z", 16 * MiB)]
+    assert counters
+    assert _iozone_run(device, mode) == reference
 
 
 def _ior_rows(device: str, mode: str):
@@ -134,18 +169,23 @@ def test_ior_bit_identical(device, mode):
     assert _ior_rows(device, mode) == _ior_rows(device, "baseline")
 
 
-def _btio_times(device: str, mode: str):
+def _btio_run(device: str, mode: str):
     with kernel_mode(mode):
         system = build_system(Environment(), small_config(device, n_compute=2))
+        unlinked = _track_file_sizes(system)
         res = run_btio(
             system, BTIOConfig(clazz="S", nprocs=4, subtype="full", path="/nfs/bt")
         )
-    return (res.execution_time, res.io_time, res.write_time, res.read_time)
+    times = (res.execution_time, res.io_time, res.write_time, res.read_time)
+    return times, _final_state(system, unlinked)
 
 
 @pytest.mark.parametrize("mode", ALT_MODES)
 def test_btio_bit_identical(mode):
-    assert _btio_times("jbod", mode) == _btio_times("jbod", "baseline")
+    reference = _btio_run("jbod", "baseline")
+    _times, (sizes, _counters) = reference
+    assert sizes and all(size > 0 for _fs, _path, size in sizes)
+    assert _btio_run("jbod", mode) == reference
 
 
 # ----------------------------------------------------------------------
