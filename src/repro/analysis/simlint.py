@@ -45,23 +45,9 @@ checks the failure classes this codebase has actually met:
     ``random.Random(42)`` would decouple the jitter from the
     schedule's seed.
 
-``generator-serve``
-    a generator-based serve loop (a function yielding simulation
-    events, or delegating with ``yield from``) inside
-    :mod:`repro.storage` / :mod:`repro.hardware`.  The hot service
-    paths are flat callback state machines (``FlatOp`` /
-    ``FastHold``); per-event generator resumes cost roughly half the
-    wall time the flat paths saved, so new serve code must be written
-    flat.  The ``REPRO_NO_FSFAST`` / ``REPRO_NO_FASTHOLD`` escape-
-    hatch implementations stay as generators by design and carry
-    ``# simlint: ignore[generator-serve]``.  Pure data generators
-    (yielding tuples or names, e.g. a run-coalescing helper) are not
-    flagged.
-
 The first four rules apply only inside the simulation packages
 (:data:`SIM_PACKAGES`, which includes the workload-grammar and
 trace-ingestion layers — their outputs feed the DES and its caches);
-``generator-serve`` only inside the storage and hardware layers;
 ``unit-mix`` applies everywhere.  Intentional
 exceptions are allowlisted with ``# simlint: ignore[rule]`` (or a bare
 ``# simlint: ignore``) on the offending line, and whole files with
@@ -95,12 +81,7 @@ RULES: tuple[str, ...] = (
     "resource-release",
     "unit-mix",
     "fault-rng",
-    "generator-serve",
 )
-
-#: packages whose serve paths must stay flat callback state machines —
-#: the scope of the ``generator-serve`` rule
-SERVE_PACKAGES: frozenset[str] = frozenset({"storage", "hardware"})
 
 #: packages whose code runs inside (or feeds) the DES — the scope of
 #: the determinism rules.  ``workloads`` and ``tracing`` are in scope
@@ -234,15 +215,6 @@ def _is_faults_path(path: str) -> bool:
     return False
 
 
-def _is_serve_path(path: str) -> bool:
-    """Does ``path`` live in a flat-serve-path package (storage/hardware)?"""
-    parts = Path(path).parts
-    for i, part in enumerate(parts):
-        if part == "repro" and i + 1 < len(parts):
-            return parts[i + 1] in SERVE_PACKAGES
-    return False
-
-
 def _target_names(target: ast.expr) -> Iterable[str]:
     if isinstance(target, ast.Name):
         yield target.id
@@ -321,12 +293,10 @@ class _Linter(ast.NodeVisitor):
         sim_scope: bool,
         set_names: frozenset[str],
         faults_scope: bool = False,
-        serve_scope: bool = False,
     ):
         self.path = path
         self.sim_scope = sim_scope
         self.faults_scope = faults_scope
-        self.serve_scope = serve_scope
         self.set_names = set_names
         self.findings: list[Finding] = []
         # import aliases of interest
@@ -600,39 +570,12 @@ class _Linter(ast.NodeVisitor):
                 "releases it",
             )
 
-    # -- generator-serve ---------------------------------------------------
-    def _check_generator_serve(
-        self, fn: Union[ast.FunctionDef, ast.AsyncFunctionDef]
-    ) -> None:
-        if not self.serve_scope:
-            return
-        for node in _walk_same_scope(fn):
-            # a serve loop yields simulation events (calls) or delegates
-            # to another serve generator; data generators yield plain
-            # tuples/names/constants and stay unflagged
-            if isinstance(node, ast.YieldFrom) or (
-                isinstance(node, ast.Yield)
-                and isinstance(node.value, (ast.Call, ast.Await))
-            ):
-                self.flag(
-                    fn,
-                    "generator-serve",
-                    f"{fn.name}() is a generator-based serve loop: hot "
-                    "service paths must be flat callback state machines "
-                    "(FlatOp/FastHold); keep generators only as the "
-                    "REPRO_NO_FSFAST/REPRO_NO_FASTHOLD escape hatches, "
-                    "marked # simlint: ignore[generator-serve]",
-                )
-                return
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_releases(node)
-        self._check_generator_serve(node)
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_releases(node)
-        self._check_generator_serve(node)
         self.generic_visit(node)
 
     # -- unit-mix ----------------------------------------------------------
@@ -691,7 +634,6 @@ def lint_source(
         sim_scope,
         _collect_set_names(tree),
         faults_scope=_is_faults_path(path),
-        serve_scope=_is_serve_path(path),
     )
     linter.visit(tree)
     wanted = frozenset(rules) if rules is not None else frozenset(RULES)

@@ -96,7 +96,7 @@ RACE_RULES: tuple[str, ...] = (
 )
 
 #: kernel execution modes the differential matrix can sweep
-KERNEL_MODES: tuple[str, ...] = ("exact", "analytic", "no_fasthold", "no_fsfast")
+KERNEL_MODES: tuple[str, ...] = ("exact", "analytic", "no_fasthold")
 
 #: attribute names that expose the scheduler's insertion counters
 _SEQ_NAMES = frozenset({"_seq", "seq", "_order"})
@@ -545,7 +545,7 @@ class _KernelMode:
         if mode not in KERNEL_MODES:
             raise ValueError(f"unknown kernel mode {mode!r}; one of {KERNEL_MODES}")
         self.mode = mode
-        self._saved: tuple[bool, bool, bool, bool] = (True, True, True, False)
+        self._saved: tuple[bool, bool, bool] = (True, True, False)
 
     def __enter__(self) -> "_KernelMode":
         from ..simengine import analytic as _analytic
@@ -554,11 +554,9 @@ class _KernelMode:
         self._saved = (
             _kernel.FAST_HOLD,
             _kernel.QUANTUM_COALESCE,
-            _kernel.FS_FAST,
             _analytic.ANALYTIC,
         )
         _kernel.FAST_HOLD = self.mode != "no_fasthold"
-        _kernel.FS_FAST = self.mode != "no_fsfast"
         _analytic.ANALYTIC = self.mode == "analytic"
         return self
 
@@ -569,7 +567,6 @@ class _KernelMode:
         (
             _kernel.FAST_HOLD,
             _kernel.QUANTUM_COALESCE,
-            _kernel.FS_FAST,
             _analytic.ANALYTIC,
         ) = self._saved
 

@@ -869,6 +869,8 @@ def cmd_perf(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.simrace import KERNEL_MODES
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="I/O-system performance evaluation methodology (CLUSTER 2011 reproduction)",
@@ -1103,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CI-sized cells: exact+analytic modes, no sanitizer "
                          "axis, small characterization sweep")
     rc.add_argument("--modes", nargs="+", default=None,
-                    choices=["exact", "analytic", "no_fasthold", "no_fsfast"],
+                    choices=KERNEL_MODES,
                     help="override the kernel-mode axis")
     rc.add_argument("--seeds", nargs="+", type=int, default=[0],
                     help="seeds for the shuffled tie-break plans (default: 0)")

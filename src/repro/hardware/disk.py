@@ -333,7 +333,7 @@ class Disk:
             name=f"{self.name}.{op}",
         )
 
-    def _serve(self, op, offset, nbytes, count, stride, priority):  # simlint: ignore[generator-serve]
+    def _serve(self, op, offset, nbytes, count, stride, priority):
         stride_ = nbytes if stride is None else stride
         total_bytes = nbytes * count
         req = self.head.request(priority, order_key=offset)

@@ -209,7 +209,7 @@ class Link:
             self._send(nbytes, count, priority, order_key), name=f"{self.name}.xfer"
         )
 
-    def _send(self, nbytes, count, priority, order_key=None):  # simlint: ignore[generator-serve]
+    def _send(self, nbytes, count, priority, order_key=None):
         while self.env.now < self._down_until:
             yield self.env.wake_at(self._down_until)
         req = self.channel.request(priority, order_key)
@@ -326,7 +326,7 @@ class Network:
             self._route(src, dst, nbytes, count, priority, order_key)
         )
 
-    def _route(self, src, dst, nbytes, count, priority, order_key=None):  # simlint: ignore[generator-serve]
+    def _route(self, src, dst, nbytes, count, priority, order_key=None):
         up = self.uplinks[src]
         down = self.downlinks[dst]
         # A flapped link delays the transfer until it is back up (TCP

@@ -274,7 +274,7 @@ class RAIDArray:
             name=f"{self.name}.rebuild",
         )
 
-    def _rebuild(self, index, total, rate_Bps, priority, hot_spare_delay_s):  # simlint: ignore[generator-serve]
+    def _rebuild(self, index, total, rate_Bps, priority, hot_spare_delay_s):
         if hot_spare_delay_s > 0:
             yield self.env.timeout(hot_spare_delay_s)
         spare = self.disks[index]
@@ -375,7 +375,7 @@ class RAIDArray:
     # ------------------------------------------------------------------
     # write-back cache
     # ------------------------------------------------------------------
-    def _cached_write(self, offset, nbytes, count, stride, priority):  # simlint: ignore[generator-serve]
+    def _cached_write(self, offset, nbytes, count, stride, priority):
         spec = self.config.disk
         total = nbytes * count
         absorbed = 0
@@ -403,7 +403,7 @@ class RAIDArray:
             yield self.env.timeout(chunk / spec.bus_rate_Bps + spec.command_overhead_s)
         return total
 
-    def _flusher(self):  # simlint: ignore[generator-serve]
+    def _flusher(self):
         while self._pending_flush:
             off, n = self._pending_flush.pop(0)
             flushed = 0

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..simengine import Event, FlatOp, Timeout, Wake
-from ..simengine import resources as _kernel
+from ..simengine import Event
 from ..storage.base import IORequest
 from .sim import RankContext
 
@@ -166,9 +165,6 @@ class MPIFile:
         return (kind, epoch)
 
     def _independent(self, req: IORequest) -> Event:
-        if _kernel.FS_FAST:
-            return _FlatIndependent(self, req).result
-
         def _op():
             t0 = self.env.now
             replay = self.ctx.world.replay
@@ -192,9 +188,6 @@ class MPIFile:
         return self.env.process(_op(), name=f"mpiio.r{self.ctx.rank}.{req.op}")
 
     def _independent_multi(self, reqs: list[IORequest]) -> Event:
-        if _kernel.FS_FAST:
-            return _FlatIndependentMulti(self, reqs).result
-
         def _op():
             replay = self.ctx.world.replay
             total = 0
@@ -377,163 +370,6 @@ class MPIFile:
                     collective=collective,
                 )
             )
-
-
-class _FlatIndependentBase(FlatOp):
-    """Shared flat service of one request (the ``_independent_body``)."""
-
-    __slots__ = ("f", "_bk", "_subs", "_si", "_plan")
-
-    def _body(self, req, k):
-        f = self.f
-        self._bk = k
-        if req.op == "read" and f.hints.ds_read:
-            from ..iolib.sieving import plan_sieve, should_sieve
-
-            if should_sieve(req, f.hints.ds_buffer_bytes):
-                # data sieving: dense covering reads + in-memory extract
-                plan = plan_sieve(req, f.hints.ds_buffer_bytes)
-                san = self.env.sanitizer
-                if san is not None:
-                    san.note_overfetch(
-                        req.op,
-                        sum(s.total_bytes for s in plan.requests) - req.total_bytes,
-                    )
-                self._plan = plan
-                self._subs = plan.requests
-                self._si = 0
-                self._sieve_next()
-                return
-        self._await(f.fs.submit_direct(f.inode, req), self._body_end)
-
-    def _sieve_next(self, _v=None):
-        f = self.f
-        if self._si < len(self._subs):
-            sub = self._subs[self._si]
-            self._si += 1
-            self._await(f.fs.submit_direct(f.inode, sub), self._sieve_next)
-            return
-        self._await(
-            Timeout(self.env, f.ctx.node.memcpy_time(self._plan.fetched_bytes)),
-            self._body_end,
-        )
-
-    def _body_end(self, _v=None):
-        self._bk()
-
-
-class _FlatIndependent(_FlatIndependentBase):
-    """Flat counterpart of :meth:`MPIFile._independent`."""
-
-    __slots__ = ("req", "t0", "key", "group", "scope")
-
-    def __init__(self, f, req):
-        self.f = f
-        self.req = req
-        super().__init__(f.env)
-
-    def _start(self, event):
-        f = self.f
-        req = self.req
-        self.t0 = self.env.now
-        replay = f.ctx.world.replay
-        key = self.key = f._phase_key(req)
-        group = self.group = f._phase_group(key)
-        scope = self.scope = f._phase_scope(key[1])
-        steady = replay.steady(key, group, scope)
-        if steady is not None:
-            # verified-steady phase: charge the known duration and
-            # apply the state side effects analytically
-            f.fs.absorb(f.inode, req)
-            if steady > 0.0:
-                self._await(Timeout(self.env, steady), self._steady_done)
-                return
-            self._steady_done(None)
-            return
-        self._body(req, self._body_done)
-
-    def _steady_done(self, _v):
-        self.f._trace(self.req, self.t0, collective=False)
-        self._finish(self.req.total_bytes)
-
-    def _body_done(self):
-        f = self.f
-        f.ctx.world.replay.observe(
-            self.key, self.env.now - self.t0, self.group, self.scope
-        )
-        f._trace(self.req, self.t0, collective=False)
-        self._finish(self.req.total_bytes)
-
-
-class _FlatIndependentMulti(_FlatIndependentBase):
-    """Flat counterpart of :meth:`MPIFile._independent_multi`."""
-
-    __slots__ = ("reqs", "i", "total", "t0", "_cur", "_key", "_scope")
-
-    def __init__(self, f, reqs):
-        self.f = f
-        self.reqs = reqs
-        super().__init__(f.env)
-
-    def _start(self, event):
-        self.total = 0
-        self.i = 0
-        self._loop()
-
-    def _loop(self, _v=None):
-        f = self.f
-        env = self.env
-        reqs = self.reqs
-        replay = f.ctx.world.replay
-        n = len(reqs)
-        while self.i < n:
-            req = reqs[self.i]
-            key = f._phase_key(req)
-            scope = f._phase_scope(key[1])
-            steady = replay.steady(key, f._phase_group(key), scope)
-            if steady is None:
-                self._cur = req
-                self._key = key
-                self._scope = scope
-                self.t0 = env.now
-                self._body(req, self._one_done)
-                return
-            # Coalesce the run of consecutive steady parts into one
-            # calendar entry; per-part trace times replay the
-            # sequential timeout chain exactly.
-            run = [(req, steady)]
-            self.i += 1
-            while self.i < n:
-                key = f._phase_key(reqs[self.i])
-                s = replay.steady(key, f._phase_group(key), f._phase_scope(key[1]))
-                if s is None:
-                    break
-                run.append((reqs[self.i], s))
-                self.i += 1
-            end = env.now
-            for r, s in run:
-                f.fs.absorb(f.inode, r)
-                start = end
-                end = end + s
-                f._trace(r, start, collective=False, t_end=end)
-                self.total += r.total_bytes
-            if end > env.now:
-                self._await(Wake(env, end), self._loop)
-                return
-        self._finish(self.total)
-
-    def _one_done(self):
-        f = self.f
-        req = self._cur
-        # observe under the pre-execution key: that is the state
-        # steady() will be consulted with next time
-        f.ctx.world.replay.observe(
-            self._key, self.env.now - self.t0, f._phase_group(self._key), self._scope
-        )
-        f._trace(req, self.t0, collective=False)
-        self.total += req.total_bytes
-        self.i += 1
-        self._loop()
 
 
 def _collective_key(path: str, op: str, epoch: int, reqs: dict[int, IORequest]) -> tuple:

@@ -1,6 +1,6 @@
 """Discrete-event simulation kernel used by every substrate in repro."""
 
-from .core import AllOf, AnyOf, Environment, Event, FlatOp, Process, SimulationError, Timeout, Wake
+from .core import AllOf, AnyOf, Environment, Event, Process, SimulationError, Timeout, Wake
 from .resources import Container, PriorityResource, Request, Resource, Store, hold_quantum
 from .rng import RngRegistry
 from .schedule import Perturber, TieGroupRecorder, capture, minimize_flips
@@ -10,7 +10,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "FlatOp",
     "Process",
     "SimulationError",
     "Timeout",

@@ -24,9 +24,9 @@ Scenario mix:
   all contending for one shared pivot: the two-level rotation the
   coupled analytic rings collapse (``REPRO_ANALYTIC=1``).
 * ``fs_serve`` — a stream of cached reads/writes through a real
-  :class:`~repro.storage.localfs.LocalFS`: the flat filesystem
-  state machines (the one scenario that touches model code, because
-  the fs fast path is what it gates).
+  :class:`~repro.storage.localfs.LocalFS`: its generator service
+  path driving the page cache (the one scenario that touches model
+  code, because the local-FS serve cost is what it gates).
 
 Each scenario reports wall seconds, simulated events (calendar entries
 consumed, from the environment's sequence counter) and events/second.
@@ -136,7 +136,7 @@ def _coupled_rotation(holders: int, rounds: int, uplinks: int = 2) -> Environmen
 def _fs_serve(ops: int) -> Environment:
     # imported here, not at module top: the kernel package must stay
     # importable without the model layers, and every other scenario is
-    # pure-kernel — only the fs fast-path gate needs a real filesystem
+    # pure-kernel — only the local-FS serve gate needs a real filesystem
     from ..hardware import Node, NodeSpec, RAIDArray, RAIDConfig, RAIDLevel
     from ..hardware.disk import DiskSpec
     from ..storage.base import IORequest, KiB, MiB

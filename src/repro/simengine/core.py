@@ -30,7 +30,6 @@ __all__ = [
     "Timeout",
     "Wake",
     "Process",
-    "FlatOp",
     "AllOf",
     "AnyOf",
     "SimulationError",
@@ -286,87 +285,15 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-class FlatOp:
-    """Callback-driven replica of a generator process: the filesystem
-    counterpart of :class:`~repro.simengine.resources.FastHold`.
-
-    A generator service path costs a :class:`Process` object, a frame
-    and a ``send()`` round trip per event.  A ``FlatOp`` drives the
-    same protocol flat: construction pushes a priority-0 :class:`Hop`
-    exactly where ``Initialize`` would sit, each ``yield ev`` becomes
-    one :meth:`_await` (append one callback, or continue synchronously
-    when the target is already processed — mirroring
-    ``Process._resume``'s immediate-continue loop), and the terminal
-    :meth:`_finish` triggers :attr:`result` at priority 1 exactly where
-    ``Process.succeed`` lands.  Since every calendar entry the
-    generator path inserts has a counterpart inserted at the same
-    moment with the same ``(time, priority)``, sequence numbers match
-    and the simulation is bit-identical between the two paths.
-
-    ``yield from`` sub-flows have no calendar footprint of their own;
-    their flat counterparts are plain helper objects that call a
-    continuation when done and route failures to :meth:`_fail`.
-
-    Subclasses implement ``_start(event)`` (the process's first
-    segment) and may override ``_cleanup()`` to mirror a generator's
-    ``finally`` block — it runs once if a yielded event fails, before
-    the failure propagates to :attr:`result`.
-    """
-
-    __slots__ = ("env", "result", "_k")
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self.result = Event(env)
-        Hop(env, self._start, priority=0)
-
-    def _start(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _await(self, ev: Event, k: Callable[[Any], None]) -> None:
-        """Wait for ``ev``, then call ``k(ev.value)`` — one ``yield``."""
-        callbacks = ev.callbacks
-        if callbacks is not None:
-            self._k = k
-            callbacks.append(self._on)
-        elif ev._ok:
-            # target already processed: continue immediately, exactly
-            # like Process._resume's inner loop (no calendar entry)
-            k(ev._value)
-        else:
-            self._fail(ev._value)
-
-    def _on(self, ev: Event) -> None:
-        # drop the stored continuation first: it is a bound method of
-        # this op, so keeping it would tie the op into a cycle
-        k = self._k
-        self._k = None
-        if ev._ok:
-            k(ev._value)
-        else:
-            self._fail(ev._value)
-
-    def _cleanup(self) -> None:
-        """Failure-path mirror of the generator's ``finally`` block."""
-
-    def _fail(self, exc: BaseException) -> None:
-        self._cleanup()
-        # a failed Event with no waiters surfaces in step(), like an
-        # unhandled process failure
-        self.result.fail(exc)
-
-    def _finish(self, value: Any = None) -> None:
-        self.result.succeed(value)
-
-
 def _prune_combinator(self, fired: Event) -> None:
     """Detach a fired combinator from its still-pending children so it
     (and its values) are collectible instead of lingering in their
     callback lists until they eventually fire."""
-    cb = self._cb
+    cb = self._on_child
     for ev in self._events:
         if ev is not fired and ev.callbacks is not None:
             try:
+                # bound methods compare equal by (__self__, __func__)
                 ev.callbacks.remove(cb)
             except ValueError:
                 pass
@@ -378,15 +305,15 @@ class AllOf(Event):
     Fails fast if any constituent fails.
     """
 
-    __slots__ = ("_events", "_remaining", "_cb")
+    __slots__ = ("_events", "_remaining")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self._events = list(events)
         self._remaining = 0
-        # intern the bound callback once instead of materialising a new
-        # bound method per child append (and per prune removal)
-        cb = self._cb = self._on_child
+        # a local, not an attribute: a bound method stored on the
+        # combinator would make it a reference cycle
+        cb = self._on_child
         for ev in self._events:
             if ev.callbacks is None:
                 if not ev._ok:
@@ -416,7 +343,7 @@ class AllOf(Event):
 class AnyOf(Event):
     """Fires when the *first* of the given events fires; value is that value."""
 
-    __slots__ = ("_events", "_cb")
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -431,7 +358,7 @@ class AnyOf(Event):
             else:
                 self.fail(first._value)
             return
-        cb = self._cb = self._on_child
+        cb = self._on_child
         for ev in self._events:
             ev.callbacks.append(cb)
 

@@ -40,12 +40,6 @@ QUANTUM_COALESCE = os.environ.get("REPRO_NO_FASTPATH", "") in ("", "0")
 #: state machines (:class:`FastHold`); orthogonal to REPRO_NO_FASTPATH
 FAST_HOLD = os.environ.get("REPRO_NO_FASTHOLD", "") in ("", "0")
 
-#: escape hatch: set REPRO_NO_FSFAST=1 to serve filesystem and MPI-IO
-#: requests through the classic generator processes instead of the flat
-#: :class:`~repro.simengine.core.FlatOp` state machines; orthogonal to
-#: the other two hatches
-FS_FAST = os.environ.get("REPRO_NO_FSFAST", "") in ("", "0")
-
 
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.

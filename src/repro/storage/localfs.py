@@ -27,8 +27,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from ..simengine import Environment, Event, FlatOp, Resource, Timeout
-from ..simengine import resources as _kernel
+from ..simengine import Environment, Event, Resource
 from ..hardware.node import Node
 from ..hardware.raid import RAIDArray
 from .base import IORequest, KiB, MiB
@@ -136,11 +135,9 @@ class LocalFS:
     # ------------------------------------------------------------------
     def create(self, path: str) -> Event:
         """Create (or truncate) a file; value is the :class:`Inode`."""
-        if _kernel.FS_FAST:
-            return _LocalCreate(self, path).result
         return self.env.process(self._create(path), name=f"{self.name}.create")
 
-    def _create(self, path):  # simlint: ignore[generator-serve]
+    def _create(self, path):
         yield self.env.timeout(self.spec.create_s)
         yield self.array.submit(
             "write", self._journal_offset(), self.spec.journal_write_bytes
@@ -164,10 +161,8 @@ class LocalFS:
                 return self.create(path)
             raise FileNotFoundError(path)
         inode = self._inodes[path]
-        if _kernel.FS_FAST:
-            return _LocalOpen(self, inode).result
 
-        def _op():  # simlint: ignore[generator-serve]
+        def _op():
             yield self.env.timeout(self.spec.open_s)
             self.stats.opens += 1
             return inode
@@ -181,10 +176,8 @@ class LocalFS:
         inode = self._inodes.get(path)
         if inode is None:
             raise FileNotFoundError(path)
-        if _kernel.FS_FAST:
-            return _LocalUnlink(self, path, inode).result
 
-        def _op():  # simlint: ignore[generator-serve]
+        def _op():
             yield self.env.timeout(self.spec.unlink_s)
             yield self.array.submit(
                 "write", self._journal_offset(), self.spec.journal_write_bytes
@@ -214,10 +207,6 @@ class LocalFS:
         """Serve a data request; the event fires when it is *accepted*
         (writes: resident in cache under write-back; reads: data
         available in the caller's buffer)."""
-        if _kernel.FS_FAST:
-            if req.op == "write":
-                return _LocalWrite(self, inode, req).result
-            return _LocalRead(self, inode, req).result
         if req.op == "write":
             return self.env.process(self._write(inode, req), name=f"{self.name}.write")
         return self.env.process(self._read(inode, req), name=f"{self.name}.read")
@@ -243,10 +232,8 @@ class LocalFS:
         """
         if req.op != "write":
             raise ValueError("submit_serialized_write is write-only")
-        if _kernel.FS_FAST:
-            return _LocalSerializedWrite(self, inode, req, per_op_s).result
 
-        def _op():  # simlint: ignore[generator-serve]
+        def _op():
             lock = self._ilock(inode)
             grant = lock.request()
             yield grant
@@ -344,8 +331,6 @@ class LocalFS:
 
     def fsync(self, inode: Inode) -> Event:
         """Flush the file's dirty segments to the device."""
-        if _kernel.FS_FAST:
-            return _LocalFsync(self, inode).result
         return self.env.process(self._fsync(inode), name=f"{self.name}.fsync")
 
     def sync(self) -> Event:
@@ -376,7 +361,7 @@ class LocalFS:
         plan = [((req.offset + k * stride) // sb, 1, nb, nb, nb) for k in range(n)]
         return plan, (req.count - n) * nb
 
-    def _write(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
+    def _write(self, inode, req: IORequest):
         spec = self.spec
         total = req.total_bytes
         # CPU: syscalls + copy into the cache
@@ -427,7 +412,7 @@ class LocalFS:
         return total
 
     # -- read --------------------------------------------------------------
-    def _read(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
+    def _read(self, inode, req: IORequest):
         spec = self.spec
         total = req.total_bytes
         yield self.env.timeout(req.count * spec.syscall_s + self.node.memcpy_time(total))
@@ -454,7 +439,7 @@ class LocalFS:
             yield self.array.submit("read", dev, nb, req.count, stride)
         return total
 
-    def _cached_read(self, inode, req: IORequest):  # simlint: ignore[generator-serve]
+    def _cached_read(self, inode, req: IORequest):
         span = min(req.span, max(inode.size - req.offset, 0))
         segs = self.cache.segments_of(req.offset, span)
         seg, end = segs.start, segs.stop
@@ -475,7 +460,7 @@ class LocalFS:
         file_last_seg = max((inode.size - 1) // sb, 0)
         return max(0, min(self.spec.readahead_bytes // sb, file_last_seg - last))
 
-    def _fill(self, inode, first: int, nsegs: int):  # simlint: ignore[generator-serve]
+    def _fill(self, inode, first: int, nsegs: int):
         """Read missing segments from the device and make them resident."""
         sb = self.cache.spec.segment_bytes
         off = first * sb
@@ -509,7 +494,7 @@ class LocalFS:
         self._alloc_cursor = start + length
         inode.extents.append((have, start, length))
 
-    def _flush_runs(self, runs: list[Run]):  # simlint: ignore[generator-serve]
+    def _flush_runs(self, runs: list[Run]):
         """Write dirty cache runs to the device and mark them clean.
 
         Runs that are densely dirty flush as one sequential write;
@@ -538,12 +523,9 @@ class LocalFS:
     def _kick_flusher(self) -> None:
         if not self._flusher_running:
             self._flusher_running = True
-            if _kernel.FS_FAST:
-                _LocalFlusher(self)
-            else:
-                self.env.process(self._flusher(), name=f"{self.name}.flusher")
+            self.env.process(self._flusher(), name=f"{self.name}.flusher")
 
-    def _flusher(self):  # simlint: ignore[generator-serve]
+    def _flusher(self):
         while self.cache.need_background_flush:
             batch = self.cache.dirty_runs(limit=self.FLUSH_BATCH_SEGS)
             if not batch:
@@ -557,7 +539,7 @@ class LocalFS:
         for w in waiters:
             w.succeed()
 
-    def _throttle(self):  # simlint: ignore[generator-serve]
+    def _throttle(self):
         """Block the writer until the flusher drains below the dirty limit."""
         while self.cache.need_throttle:
             self._kick_flusher()
@@ -565,7 +547,7 @@ class LocalFS:
             self._flush_waiters.append(ev)
             yield ev
 
-    def _fsync(self, inode):  # simlint: ignore[generator-serve]
+    def _fsync(self, inode):
         yield self.env.timeout(self.spec.syscall_s)
         yield from self._flush_runs(self.cache.dirty_runs(fileid=inode.fileid))
         yield self.array.submit(
@@ -573,513 +555,15 @@ class LocalFS:
         )
         return None
 
-    def _sync_all(self):  # simlint: ignore[generator-serve]
+    def _sync_all(self):
         yield from self._flush_runs(self.cache.dirty_runs())
         yield self.array.flush()
         return None
 
 
-# ----------------------------------------------------------------------
-# flat service paths (REPRO_NO_FSFAST falls back to the generators)
-# ----------------------------------------------------------------------
 def _plan_amount(seg: int, first: int, nsegs: int, dirty: int, head: int, tail: int) -> int:
     """Dirty bytes a write-plan run gives segment ``seg`` (the rule of
     :meth:`PageCache.insert`)."""
     if seg == first + nsegs - 1:
         return tail
     return head if seg == first else dirty
-
-
-class _FlatFlush:
-    """Flat counterpart of :meth:`LocalFS._flush_runs`.
-
-    Sub-flows have no calendar footprint of their own (they replace a
-    ``yield from``): they borrow the parent op's :meth:`FlatOp._await`
-    and call ``k()`` when the flow completes.
-    """
-
-    __slots__ = ("fs", "op", "runs", "i", "k")
-
-    def __init__(self, fs, op, runs, k):
-        self.fs = fs
-        self.op = op
-        self.runs = runs
-        self.i = 0
-        self.k = k
-        self._next()
-
-    def _next(self, _v=None):
-        fs = self.fs
-        sb = fs.cache.spec.segment_bytes
-        runs = self.runs
-        while self.i < len(runs):
-            fileid, first, nsegs, dirty = runs[self.i]
-            inode = fs._by_id.get(fileid)
-            if inode is None:
-                fs.cache.clean(fileid, first, nsegs)
-                self.i += 1
-                continue
-            off = first * sb
-            fs._ensure_allocation(inode, off + nsegs * sb)
-            dev = inode.device_offset(off)
-            density = dirty / (nsegs * sb)
-            if density >= fs.spec.dense_flush_threshold:
-                ev = fs.array.submit("write", dev, nsegs * sb, cached=False)
-            else:
-                nb = fs.spec.min_io_bytes
-                nops = max(dirty // nb, 1)
-                scatter = max((nsegs * sb) // nops, nb)
-                ev = fs.array.submit("write", dev, nb, nops, scatter, cached=False)
-            self.op._await(ev, self._written)
-            return
-        self.k()
-
-    def _written(self, _v):
-        fs = self.fs
-        fileid, first, nsegs, _d = self.runs[self.i]
-        fs.cache.clean(fileid, first, nsegs)
-        fs.stats.flush_runs += 1
-        self.i += 1
-        self._next()
-
-
-class _FlatThrottle:
-    """Flat counterpart of :meth:`LocalFS._throttle`."""
-
-    __slots__ = ("fs", "op", "k")
-
-    def __init__(self, fs, op, k):
-        self.fs = fs
-        self.op = op
-        self.k = k
-        self._check()
-
-    def _check(self, _v=None):
-        fs = self.fs
-        if fs.cache.need_throttle:
-            fs._kick_flusher()
-            ev = Event(fs.env)
-            fs._flush_waiters.append(ev)
-            self.op._await(ev, self._check)
-        else:
-            self.k()
-
-
-class _FlatFill:
-    """Flat counterpart of :meth:`LocalFS._fill`."""
-
-    __slots__ = ("fs", "op", "inode", "s", "end", "force", "k")
-
-    def __init__(self, fs, op, inode, first, nsegs, k):
-        self.fs = fs
-        self.op = op
-        self.inode = inode
-        self.s = first
-        self.end = first + nsegs
-        self.force = False
-        self.k = k
-        sb = fs.cache.spec.segment_bytes
-        off = first * sb
-        length = min(nsegs * sb, max(inode.size - off, sb))
-        fs._ensure_allocation(inode, off + length)
-        dev = inode.device_offset(off)
-        op._await(fs.array.submit("read", dev, length), self._insert_loop)
-
-    def _insert_loop(self, _v=None):
-        cache = self.fs.cache
-        fileid = self.inode.fileid
-        while self.s < self.end:
-            done, victim = cache.insert(fileid, self.s, self.end - self.s, force=self.force)
-            self.s += done
-            self.force = victim is None
-            if victim is not None:
-                _FlatFlush(self.fs, self.op, [victim], self._insert_loop)
-                return
-        self.k()
-
-
-class _LocalWrite(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._write`."""
-
-    __slots__ = ("fs", "inode", "req", "total", "_plan", "_overflow", "_i", "_seg", "_force",
-                 "_victim")
-
-    def __init__(self, fs, inode, req):
-        self.fs = fs
-        self.inode = inode
-        self.req = req
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        fs = self.fs
-        req = self.req
-        total = self.total = req.total_bytes
-        self._await(
-            Timeout(self.env, req.count * fs.spec.syscall_s + fs.node.memcpy_time(total)),
-            self._after_cpu,
-        )
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        req = self.req
-        end = req.offset + req.span
-        fs._ensure_allocation(self.inode, end)
-        fs.stats.writes += req.count
-        fs.stats.bytes_written += self.total
-        self._plan, self._overflow = fs._dirty_plan(req)
-        self._i = 0
-        self._seg = self._plan[0][0] if self._plan else 0
-        self._force = False
-        self._victim = None
-        if fs.cache.spec.write_back:
-            self._plan_step()
-        else:
-            self._through_step()
-
-    def _next_run(self) -> None:
-        self._i += 1
-        if self._i < len(self._plan):
-            self._seg = self._plan[self._i][0]
-        self._force = False
-
-    def _plan_step(self, _v=None):
-        fs = self.fs
-        cache = fs.cache
-        plan = self._plan
-        fileid = self.inode.fileid
-        while self._i < len(plan):
-            first, nsegs, dirty, head, tail = plan[self._i]
-            end = first + nsegs
-            while self._seg < end:
-                # absorb the throttle-free, flush-free prefix in one call
-                seg = self._seg
-                done, victim = cache.insert(
-                    fileid, seg, end - seg, dirty, head if seg == first else None, tail,
-                    throttle=True, force=self._force,
-                )
-                self._seg = seg = seg + done
-                self._force = victim is None
-                if victim is not None:
-                    _FlatFlush(fs, self, [victim], self._plan_step)
-                    return
-                if seg < end and cache.need_throttle:
-                    _FlatThrottle(fs, self, self._plan_step)
-                    return
-            self._next_run()
-        self._after_plan()
-
-    def _through_step(self, _v=None):
-        """Write-through: per segment, throttle, insert clean, write the
-        segment's bytes, then write back any dirty victim."""
-        fs = self.fs
-        cache = fs.cache
-        plan = self._plan
-        while self._i < len(plan):
-            first, nsegs, dirty, head, tail = plan[self._i]
-            seg = self._seg
-            if seg >= first + nsegs:
-                self._next_run()
-                continue
-            if self._victim is not None:
-                victim, self._victim = self._victim, None
-                self._seg += 1
-                _FlatFlush(fs, self, [victim], self._through_step)
-                return
-            if not self._force:
-                self._force = True
-                if cache.need_throttle:
-                    _FlatThrottle(fs, self, self._through_step)
-                    return
-            fileid = self.inode.fileid
-            _done, victim = cache.insert(fileid, seg, 1, force=True)
-            self._force = False
-            amount = _plan_amount(seg, first, nsegs, dirty, head, tail)
-            if victim is None:
-                self._seg += 1
-            else:
-                self._victim = victim
-            _FlatFlush(fs, self, [(fileid, seg, 1, amount)], self._through_step)
-            return
-        self._after_plan()
-
-    def _after_plan(self):
-        fs = self.fs
-        if self._overflow:
-            req = self.req
-            nb = max(req.nbytes, fs.spec.min_io_bytes)
-            dev = self.inode.device_offset(0)
-            self._await(
-                fs.array.submit(
-                    "write", dev, nb, max(self._overflow // nb, 1), 7919 * nb, cached=False
-                ),
-                self._after_overflow,
-            )
-            return
-        self._after_overflow(None)
-
-    def _after_overflow(self, _v):
-        fs = self.fs
-        if fs.cache.need_background_flush:
-            fs._kick_flusher()
-        inode = self.inode
-        req = self.req
-        inode.size = max(inode.size, req.offset + req.span)
-        self._finish(self.total)
-
-
-class _LocalRead(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._read` (incl. ``_cached_read``)."""
-
-    __slots__ = ("fs", "inode", "req", "total", "_seg", "_end")
-
-    def __init__(self, fs, inode, req):
-        self.fs = fs
-        self.inode = inode
-        self.req = req
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        fs = self.fs
-        req = self.req
-        total = self.total = req.total_bytes
-        self._await(
-            Timeout(self.env, req.count * fs.spec.syscall_s + fs.node.memcpy_time(total)),
-            self._after_cpu,
-        )
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        req = self.req
-        inode = self.inode
-        spec = fs.spec
-        fs.stats.reads += req.count
-        fs.stats.bytes_read += self.total
-
-        if req.offset >= inode.size:
-            # read at/past EOF: POSIX short/zero read, no device work
-            self._finish(self.total)
-            return
-        if fs.cache.file_fully_resident(inode.fileid, max(inode.size, 1)):
-            span = min(req.span, max(inode.size - req.offset, 0))
-            segs = fs.cache.segments_of(req.offset, span)
-            fs.cache.touch(inode.fileid, segs.start, len(segs))
-            self._finish(self.total)
-            return
-        if req.is_dense:
-            span = min(req.span, max(inode.size - req.offset, 0))
-            segs = fs.cache.segments_of(req.offset, span)
-            self._seg, self._end = segs.start, segs.stop
-            self._scan()
-            return
-        nb = max(req.nbytes, spec.min_io_bytes)
-        dev = inode.device_offset(min(req.offset, max(inode.size - 1, 0)))
-        stride = req.effective_stride if req.stride != -1 else 7919 * spec.min_io_bytes
-        fs.cache.stats.misses += req.count
-        self._await(fs.array.submit("read", dev, nb, req.count, stride), self._sparse_done)
-
-    def _sparse_done(self, _v):
-        self._finish(self.total)
-
-    def _scan(self, _v=None):
-        fs = self.fs
-        inode = self.inode
-        end = self._end
-        while self._seg < end:
-            miss, nmiss = fs.cache.lookup(inode.fileid, self._seg, end - self._seg)
-            if not nmiss:
-                break
-            self._seg = miss + nmiss + 1  # past the hit that ended the miss run
-            if self._seg <= end:
-                _FlatFill(fs, self, inode, miss, nmiss, self._scan)
-            else:
-                # sequential tail: extend by the readahead window
-                nmiss += fs._readahead(inode, end - 1)
-                _FlatFill(fs, self, inode, miss, nmiss, self._fills_done)
-            return
-        self._finish(self.total)
-
-    def _fills_done(self, _v=None):
-        self._finish(self.total)
-
-
-class _LocalFlusher(FlatOp):
-    """Flat counterpart of the background :meth:`LocalFS._flusher`."""
-
-    __slots__ = ("fs",)
-
-    def __init__(self, fs):
-        self.fs = fs
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        self._loop()
-
-    def _loop(self, _v=None):
-        fs = self.fs
-        while fs.cache.need_background_flush:
-            batch = fs.cache.dirty_runs(limit=fs.FLUSH_BATCH_SEGS)
-            if not batch:
-                break
-            _FlatFlush(fs, self, batch, self._batch_done)
-            return
-        fs._flusher_running = False
-        waiters, fs._flush_waiters = fs._flush_waiters, []
-        for w in waiters:
-            w.succeed()
-        self._finish(None)
-
-    def _batch_done(self, _v=None):
-        fs = self.fs
-        waiters, fs._flush_waiters = fs._flush_waiters, []
-        for w in waiters:
-            w.succeed()
-        self._loop()
-
-
-class _LocalFsync(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._fsync`."""
-
-    __slots__ = ("fs", "inode")
-
-    def __init__(self, fs, inode):
-        self.fs = fs
-        self.inode = inode
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.syscall_s), self._after_cpu)
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        _FlatFlush(fs, self, fs.cache.dirty_runs(fileid=self.inode.fileid), self._flushed)
-
-    def _flushed(self, _v=None):
-        fs = self.fs
-        self._await(
-            fs.array.submit("write", fs._journal_offset(), fs.spec.journal_write_bytes),
-            self._journaled,
-        )
-
-    def _journaled(self, _v):
-        self._finish(None)
-
-
-class _LocalCreate(FlatOp):
-    """Flat counterpart of :meth:`LocalFS._create`."""
-
-    __slots__ = ("fs", "path")
-
-    def __init__(self, fs, path):
-        self.fs = fs
-        self.path = path
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.create_s), self._after_cpu)
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        self._await(
-            fs.array.submit("write", fs._journal_offset(), fs.spec.journal_write_bytes),
-            self._journaled,
-        )
-
-    def _journaled(self, _v):
-        fs = self.fs
-        inode = fs._inodes.get(self.path)
-        if inode is None:
-            inode = Inode(fs._next_fileid, self.path)
-            fs._next_fileid += 1
-            fs._inodes[self.path] = inode
-            fs._by_id[inode.fileid] = inode
-        else:
-            inode.size = 0
-            fs.cache.drop_file(inode.fileid)
-        fs.stats.creates += 1
-        self._finish(inode)
-
-
-class _LocalOpen(FlatOp):
-    """Flat counterpart of the one-yield open op."""
-
-    __slots__ = ("fs", "inode")
-
-    def __init__(self, fs, inode):
-        self.fs = fs
-        self.inode = inode
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.open_s), self._opened)
-
-    def _opened(self, _v):
-        self.fs.stats.opens += 1
-        self._finish(self.inode)
-
-
-class _LocalUnlink(FlatOp):
-    """Flat counterpart of the unlink op."""
-
-    __slots__ = ("fs", "path", "inode")
-
-    def __init__(self, fs, path, inode):
-        self.fs = fs
-        self.path = path
-        self.inode = inode
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        self._await(Timeout(self.env, self.fs.spec.unlink_s), self._after_cpu)
-
-    def _after_cpu(self, _v):
-        fs = self.fs
-        self._await(
-            fs.array.submit("write", fs._journal_offset(), fs.spec.journal_write_bytes),
-            self._journaled,
-        )
-
-    def _journaled(self, _v):
-        fs = self.fs
-        fs.cache.drop_file(self.inode.fileid)
-        del fs._inodes[self.path]
-        del fs._by_id[self.inode.fileid]
-        self._finish(None)
-
-
-class _LocalSerializedWrite(FlatOp):
-    """Flat counterpart of :meth:`LocalFS.submit_serialized_write`."""
-
-    __slots__ = ("fs", "inode", "req", "per_op_s", "_lock", "_grant")
-
-    def __init__(self, fs, inode, req, per_op_s):
-        self.fs = fs
-        self.inode = inode
-        self.req = req
-        self.per_op_s = per_op_s
-        self._lock = None
-        self._grant = None
-        super().__init__(fs.env)
-
-    def _start(self, event):
-        lock = self._lock = self.fs._ilock(self.inode)
-        grant = self._grant = lock.request()  # simlint: ignore[resource-release]
-        self._await(grant, self._locked)
-
-    def _locked(self, _v):
-        self._await(Timeout(self.env, self.req.count * self.per_op_s), self._after_cpu)
-
-    def _after_cpu(self, _v):
-        self._await(self.fs.submit(self.inode, self.req), self._written)
-
-    def _written(self, _v):
-        self._release()
-        self._finish(self.req.total_bytes)
-
-    def _release(self):
-        grant = self._grant
-        if grant is not None and grant in self._lock.users:
-            self._lock.release(grant)
-
-    def _cleanup(self):
-        # the generator's ``finally``
-        self._release()

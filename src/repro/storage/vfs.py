@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..simengine import Environment, Event, FlatOp
-from ..simengine import resources as _kernel
+from ..simengine import Environment, Event
 from .base import IORequest
 from .localfs import Inode, LocalFS
 from .nfs import NFSMount
@@ -113,10 +112,8 @@ class VFS:
     def open(self, path: str, create: bool = False) -> Event:
         """Open (optionally creating); event value is a :class:`FileHandle`."""
         fs = self.resolve(path)
-        if _kernel.FS_FAST:
-            return _VFSOpen(self, fs, path, create=create).result
 
-        def _op():  # simlint: ignore[generator-serve]
+        def _op():
             inode = yield fs.open(path, create=create)
             return FileHandle(self, fs, inode, path)
 
@@ -124,10 +121,8 @@ class VFS:
 
     def create(self, path: str) -> Event:
         fs = self.resolve(path)
-        if _kernel.FS_FAST:
-            return _VFSOpen(self, fs, path, create=None).result
 
-        def _op():  # simlint: ignore[generator-serve]
+        def _op():
             inode = yield fs.create(path)
             return FileHandle(self, fs, inode, path)
 
@@ -145,25 +140,3 @@ class VFS:
     def stat(self, path: str) -> Inode:
         return self.resolve(path).stat(path)
 
-
-class _VFSOpen(FlatOp):
-    """Flat counterpart of the :meth:`VFS.open` / :meth:`VFS.create`
-    wrapper processes (``create=None`` means the create path)."""
-
-    __slots__ = ("vfs", "fs", "path", "create")
-
-    def __init__(self, vfs, fs, path, create):
-        self.vfs = vfs
-        self.fs = fs
-        self.path = path
-        self.create = create
-        super().__init__(vfs.env)
-
-    def _start(self, event):
-        if self.create is None:
-            self._await(self.fs.create(self.path), self._opened)
-        else:
-            self._await(self.fs.open(self.path, create=self.create), self._opened)
-
-    def _opened(self, inode):
-        self._finish(FileHandle(self.vfs, self.fs, inode, self.path))

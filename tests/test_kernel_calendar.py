@@ -16,9 +16,9 @@ The golden values were recorded before the grant path was rewritten
 and must not change under a pure speed change.
 
 The second half checks that the grant path leaves no reference cycles
-behind: granted requests, finished holds and finished flat filesystem
-operations must be freed by reference counting alone, not by the
-cyclic garbage collector.
+behind: granted requests, finished holds, finished processes and fired
+``all_of``/``any_of`` combinators must be freed by reference counting
+alone, not by the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.hardware.network import GIGABIT, Network
 from repro.simengine import Environment
 from repro.simengine import analytic as _analytic
 from repro.simengine.bench import _BenchHold
-from repro.simengine.core import FlatOp, Timeout
+from repro.simengine.core import AllOf, AnyOf, Process, Timeout
 from repro.simengine.resources import FastHold, Request, Resource
 from repro.simengine.schedule import PopRecorder, capture
 from repro.storage.base import IORequest, KiB, MiB
@@ -124,6 +124,18 @@ def _shared_downlink_and_nfs_write() -> None:
     system.env.run()
 
 
+def _combinators() -> None:
+    env = Environment()
+
+    def waiter():
+        yield env.all_of([env.timeout(0.1), env.timeout(0.2)])
+        # the slower child is still pending when any_of fires
+        yield env.any_of([env.timeout(0.1), env.timeout(0.3)])
+
+    env.run(env.process(waiter()))
+    env.run()
+
+
 def test_grant_path_leaves_no_reference_cycles(exact_kernel):
     was_enabled = gc.isenabled()
     saved_flags = gc.get_debug()
@@ -133,11 +145,11 @@ def test_grant_path_leaves_no_reference_cycles(exact_kernel):
     try:
         gc.set_debug(gc.DEBUG_SAVEALL)
         _shared_downlink_and_nfs_write()
+        _combinators()
         gc.collect()
         found = gc.garbage[n_before:]
-        leaked = sorted(
-            {type(o).__name__ for o in found if isinstance(o, (Request, FastHold, FlatOp))}
-        )
+        kinds = (Request, FastHold, AllOf, AnyOf, Process)
+        leaked = sorted({type(o).__name__ for o in found if isinstance(o, kinds)})
     finally:
         gc.set_debug(saved_flags)
         del gc.garbage[n_before:]

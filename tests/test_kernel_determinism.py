@@ -11,8 +11,6 @@ modes:
 * ``baseline`` — all optimizations on (the shipped default);
 * ``no_fasthold`` — ``REPRO_NO_FASTHOLD``: generator serve paths;
 * ``no_coalesce`` — ``REPRO_NO_FASTPATH``: one wake per quantum;
-* ``no_fsfast`` — ``REPRO_NO_FSFAST``: generator filesystem/MPI-IO
-  serve paths instead of the flat state machines;
 * ``analytic`` — ``REPRO_ANALYTIC``: slice rings + numpy scatter.
 
 Coverage: the Aohyper characterization tables (iolib/localfs/nfs) for
@@ -53,7 +51,7 @@ from repro.workloads.btio import BTIOConfig, run_btio
 from conftest import small_config
 
 DEVICES = ("jbod", "raid1", "raid5")
-ALT_MODES = ("no_fasthold", "no_coalesce", "no_fsfast", "analytic")
+ALT_MODES = ("no_fasthold", "no_coalesce", "analytic")
 
 
 @contextlib.contextmanager
@@ -62,20 +60,17 @@ def kernel_mode(mode: str):
     saved = (
         _kernel.FAST_HOLD,
         _kernel.QUANTUM_COALESCE,
-        _kernel.FS_FAST,
         _analytic.ANALYTIC,
     )
     try:
         _kernel.FAST_HOLD = mode != "no_fasthold"
         _kernel.QUANTUM_COALESCE = mode != "no_coalesce"
-        _kernel.FS_FAST = mode != "no_fsfast"
         _analytic.ANALYTIC = mode == "analytic"
         yield
     finally:
         (
             _kernel.FAST_HOLD,
             _kernel.QUANTUM_COALESCE,
-            _kernel.FS_FAST,
             _analytic.ANALYTIC,
         ) = saved
 

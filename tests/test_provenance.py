@@ -68,7 +68,7 @@ def test_perf_guard_ignores_provenance(tmp_path, capsys):
     guard = load_perf_guard()
     old = {"git_rev": "a" * 40, "src_sha256": "0" * 16, "repro_flags": {}}
     new = {"git_rev": "b" * 40, "src_sha256": "1" * 16,
-           "repro_flags": {"REPRO_NO_FSFAST": "1"}}
+           "repro_flags": {"REPRO_NO_FASTHOLD": "1"}}
     base = _bench(tmp_path, "base.json", 10.0, old)
     assert guard.check(base, _bench(tmp_path, "same.json", 10.0, new), 1.25) == []
     assert "skipping" not in capsys.readouterr().out

@@ -344,7 +344,7 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
 def test_all_rules_documented():
     assert set(RULES) == {
         "wall-clock", "unseeded-random", "set-iteration",
-        "resource-release", "unit-mix", "fault-rng", "generator-serve",
+        "resource-release", "unit-mix", "fault-rng",
     }
 
 
@@ -405,68 +405,3 @@ def test_fault_rng_quiet_on_env_rng_streams():
         path=FAULTS_PATH,
     )
     assert fs == []
-
-
-# ---------------------------------------------------------------------------
-# generator-serve
-
-STORAGE_PATH = "src/repro/storage/fixture.py"
-
-
-def test_generator_serve_flags_event_yield_in_storage():
-    fs = findings(
-        """
-        def _serve(self, req):
-            yield self.env.timeout(0.01)
-            return req.total_bytes
-        """,
-        path=STORAGE_PATH,
-    )
-    assert "generator-serve" in rules_of(fs)
-
-
-def test_generator_serve_flags_yield_from_delegation():
-    fs = findings(
-        """
-        def _write(self, inode, req):
-            yield from self._flush_entries([(1, 2, 3)])
-        """,
-        path=STORAGE_PATH,
-    )
-    assert "generator-serve" in rules_of(fs)
-
-
-def test_generator_serve_quiet_on_data_generators():
-    # run-coalescing pure data generators yield tuples, not
-    # simulation events — they are not serve loops
-    fs = findings(
-        """
-        def coalesce(entries):
-            for fileid, seg, dirty in sorted(entries):
-                yield (fileid, seg, dirty)
-        """,
-        path=STORAGE_PATH,
-    )
-    assert "generator-serve" not in rules_of(fs)
-
-
-def test_generator_serve_quiet_outside_serve_packages():
-    # the same serve loop in simengine (the kernel's own machinery) or
-    # the reporting layer is out of scope
-    src = """
-    def _serve(self, req):
-        yield self.env.timeout(0.01)
-    """
-    assert "generator-serve" not in rules_of(findings(src, path=SIM_PATH))
-    assert "generator-serve" not in rules_of(findings(src, path=APP_PATH))
-
-
-def test_generator_serve_pragma_suppresses():
-    fs = findings(
-        """
-        def _serve(self, req):  # simlint: ignore[generator-serve]
-            yield self.env.timeout(0.01)
-        """,
-        path=STORAGE_PATH,
-    )
-    assert "generator-serve" not in rules_of(fs)
